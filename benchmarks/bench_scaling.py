@@ -2,26 +2,15 @@
 
 The paper's Table 2 shows near-linear scaling on Doctors (5 attributes) and
 the sensitivity to arity (GitHub's 19 attributes cost two orders more at
-equal row counts).  This bench records both trends.
+equal row counts).  This bench records both trends::
 
-Standalone mode (the CI columnar gate) times signature-index construction
-on a TPC-H instance, object model vs columnar engine, verifies the two
-indexes are structurally identical, and emits ``BENCH_scaling.json``::
-
-    PYTHONPATH=src python benchmarks/bench_scaling.py \
-        --sf 0.1 --min-speedup 10 --out BENCH_scaling.json
-
-Exits 1 if the columnar build is less than ``--min-speedup`` times faster
-or the indexes diverge.
+    PYTHONPATH=src python -m pytest benchmarks/bench_scaling.py
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
-import time
 
 sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
@@ -60,125 +49,3 @@ def test_signature_scaling_arity(benchmark, dataset):
         signature_compare, scenario.source, scenario.target, OPTIONS
     )
     assert result.similarity > 0.2
-
-
-# -- standalone columnar gate ------------------------------------------------
-
-
-def _best_of(fn, repeats: int):
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        started = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - started)
-    return best, result
-
-
-def _indexes_equivalent(object_index, rebuilt, relation_names) -> bool:
-    """Structural identity: buckets, bucket order, patterns, probe order."""
-    for name in relation_names:
-        ours = object_index.relation(name)
-        theirs = rebuilt.relation(name)
-        if list(ours.sigmap.keys()) != list(theirs.sigmap.keys()):
-            return False
-        for key in ours.sigmap:
-            if [t.tuple_id for t in ours.sigmap[key]] != [
-                t.tuple_id for t in theirs.sigmap[key]
-            ]:
-                return False
-        if ours.patterns != theirs.patterns:
-            return False
-        if [t.tuple_id for t in ours.probe_order] != [
-            t.tuple_id for t in theirs.probe_order
-        ]:
-            return False
-    return True
-
-
-def main(argv=None) -> int:
-    from repro.algorithms.signature import (
-        ColumnarSignatureIndex,
-        SignatureIndex,
-    )
-    from repro.datagen.tpch import generate_tpch
-
-    parser = argparse.ArgumentParser(
-        description="Columnar vs object signature-build gate on TPC-H"
-    )
-    parser.add_argument("--sf", type=float, default=0.1)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--null-rate", type=float, default=0.02)
-    parser.add_argument("--repeats", type=int, default=2)
-    parser.add_argument(
-        "--min-speedup", type=float, default=10.0,
-        help="gate: columnar build must be at least this much faster "
-        "(0 disables the gate)",
-    )
-    parser.add_argument("--out", default="BENCH_scaling.json")
-    args = parser.parse_args(argv)
-
-    started = time.perf_counter()
-    instance = generate_tpch(args.sf, seed=args.seed, null_rate=args.null_rate)
-    generate_seconds = time.perf_counter() - started
-    view = instance.columns()  # prebuilt at ingest; cached on the instance
-    rows = {
-        name: relation.n_rows for name, relation in view.relations.items()
-    }
-    print(
-        f"TPC-H sf={args.sf}: {sum(rows.values())} rows in "
-        f"{generate_seconds:.1f}s"
-    )
-
-    object_seconds, object_index = _best_of(
-        lambda: SignatureIndex.build(instance), args.repeats
-    )
-    columnar_seconds, columnar_index = _best_of(
-        lambda: ColumnarSignatureIndex.build(view), args.repeats
-    )
-    speedup = object_seconds / columnar_seconds if columnar_seconds else 0.0
-
-    equivalent = _indexes_equivalent(
-        object_index,
-        columnar_index.to_signature_index(instance),
-        instance.schema.relation_names(),
-    )
-
-    report = {
-        "benchmark": "columnar-signature-build",
-        "sf": args.sf,
-        "seed": args.seed,
-        "null_rate": args.null_rate,
-        "rows": rows,
-        "total_rows": sum(rows.values()),
-        "generate_seconds": generate_seconds,
-        "object_build_seconds": object_seconds,
-        "columnar_build_seconds": columnar_seconds,
-        "speedup": speedup,
-        "min_speedup": args.min_speedup,
-        "indexes_equivalent": equivalent,
-    }
-    with open(args.out, "w") as handle:
-        json.dump(report, handle, indent=2)
-
-    print(
-        f"signature build: object {object_seconds:.3f}s, "
-        f"columnar {columnar_seconds:.3f}s -> {speedup:.1f}x "
-        f"(gate {args.min_speedup:.0f}x), "
-        f"equivalent={equivalent}"
-    )
-    print(f"wrote {args.out}")
-    if not equivalent:
-        print("GATE FAILURE: columnar index diverges", file=sys.stderr)
-        return 1
-    if args.min_speedup and speedup < args.min_speedup:
-        print(
-            f"GATE FAILURE: {speedup:.1f}x < {args.min_speedup:.0f}x",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -54,7 +54,6 @@ from .algorithms.options import (
     GroundOptions,
     PartialOptions,
     SignatureOptions,
-    resolve_algorithm,
 )
 from .algorithms.partial import partial_signature_compare
 from .algorithms.refine import refine_match
@@ -101,21 +100,19 @@ from .runtime.anytime import DEFAULT_ANYTIME_NODE_BUDGET
 from .runtime.budget import DEFAULT_CHECK_INTERVAL
 from .scoring.match_score import score_match
 
-__version__ = "1.4.0"
+__version__ = "2.0.0"
 
 
 def compare(
     left: Instance,
     right: Instance,
-    algorithm: Algorithm | AlgorithmOptions | str | None = None,
+    algorithm: Algorithm | AlgorithmOptions | None = None,
     options: MatchOptions | None = None,
     prepare: bool = True,
     align_schemas: bool = False,
-    refine: bool = False,
     deadline: float | None = None,
     token: CancellationToken | None = None,
     executor: Executor | None = None,
-    **kwargs,
 ) -> ComparisonResult:
     """Compare two instances and return score, match, and statistics.
 
@@ -148,9 +145,8 @@ def compare(
           → refine → assignment → exact (:class:`AnytimeOptions`; see
           :func:`repro.runtime.compare_anytime`).
 
-        Legacy string names (``algorithm="exact"``) and per-algorithm
-        keyword arguments (``node_budget=10``) still work but emit a
-        :class:`DeprecationWarning` naming the typed replacement.
+        String names (``algorithm="exact"``) raise ``TypeError``;
+        ``Algorithm("exact")`` converts one.
     options:
         Structural constraints and λ; defaults to
         :meth:`MatchOptions.general`.
@@ -160,10 +156,6 @@ def compare(
         returned match then refers to the prepared copies.  Pass ``False``
         if the inputs already satisfy the preconditions and you need the
         match to reference your exact tuple objects.
-    refine:
-        Post-process the match with local-search hill climbing
-        (:func:`repro.algorithms.refine.refine_match`); never lowers the
-        score, costs extra time.
     deadline:
         Wall-clock allowance in seconds.  Supported by signature, exact,
         and anytime; when the deadline trips, the result carries a
@@ -197,23 +189,20 @@ def compare(
     :class:`Comparator` instead when comparing more than once with the
     same configuration.
     """
-    control = kwargs.pop("control", None)
-    spec = resolve_algorithm(algorithm, kwargs)
-    return Comparator(spec, options, deadline=deadline, refine=refine).compare_one(
+    return Comparator(algorithm, options, deadline=deadline).compare_one(
         left,
         right,
         prepare=prepare,
         align_schemas=align_schemas,
         token=token,
         executor=executor,
-        control=control,
     )
 
 
 def similarity(
     left: Instance,
     right: Instance,
-    algorithm: Algorithm | AlgorithmOptions | str | None = None,
+    algorithm: Algorithm | AlgorithmOptions | None = None,
     options: MatchOptions | None = None,
     **kwargs,
 ) -> float:
@@ -228,13 +217,12 @@ def similarity(
 
 def compare_many(
     pairs,
-    algorithm: Algorithm | AlgorithmOptions | str | None = None,
+    algorithm: Algorithm | AlgorithmOptions | None = None,
     options: MatchOptions | None = None,
     *,
     jobs: int = 1,
     cache: SignatureCache | None = None,
     deadline: float | None = None,
-    refine: bool = False,
     limits: WorkerLimits | None = None,
     retry: RetryPolicy | None = None,
     fault_plan: FaultPlan | None = None,
@@ -254,7 +242,6 @@ def compare_many(
         jobs=jobs,
         cache=cache,
         deadline=deadline,
-        refine=refine,
         limits=limits,
         retry=retry,
         fault_plan=fault_plan,
@@ -270,7 +257,6 @@ def compare_anytime(
     token: CancellationToken | None = None,
     prepare: bool = True,
     node_budget: int = DEFAULT_ANYTIME_NODE_BUDGET,
-    refine_move_budget: int | None = None,
     check_interval: int = DEFAULT_CHECK_INTERVAL,
     executor: Executor | None = None,
 ) -> ComparisonResult:
@@ -281,11 +267,7 @@ def compare_anytime(
     reference and the ladder semantics.
     """
     return Comparator(
-        AnytimeOptions(
-            node_budget=node_budget,
-            refine_move_budget=refine_move_budget,
-            check_interval=check_interval,
-        ),
+        AnytimeOptions(node_budget=node_budget, check_interval=check_interval),
         options,
         deadline=deadline,
     ).compare_anytime(

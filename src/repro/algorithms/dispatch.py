@@ -29,7 +29,6 @@ from .options import (
     SignatureOptions,
 )
 from .partial import partial_signature_compare
-from .refine import refine_match
 from .result import ComparisonResult
 from .signature import signature_compare
 
@@ -87,7 +86,6 @@ def run_algorithm(
     deadline: float | None = None,
     token: CancellationToken | None = None,
     executor: "Executor | None" = None,
-    refine: bool = False,
     left_index=None,
     right_index=None,
 ) -> ComparisonResult:
@@ -113,7 +111,7 @@ def run_algorithm(
         control = Budget(node_limit=node_limit, deadline=deadline, token=token)
 
     if algorithm is Algorithm.SIGNATURE:
-        result = signature_compare(
+        return signature_compare(
             left,
             right,
             options=options,
@@ -123,7 +121,7 @@ def run_algorithm(
             right_index=right_index,
         )
     elif algorithm is Algorithm.ASSIGNMENT:
-        result = assignment_compare(
+        return assignment_compare(
             left,
             right,
             options=options,
@@ -136,12 +134,12 @@ def run_algorithm(
         )
     elif algorithm is Algorithm.EXACT:
         if executor is not None:
-            result = _exact_with_executor(
+            return _exact_with_executor(
                 left, right, spec, options, control, executor,
                 deadline=deadline, token=token,
             )
         else:
-            result = exact_compare(
+            return exact_compare(
                 left,
                 right,
                 options=options,
@@ -151,9 +149,9 @@ def run_algorithm(
                 assignment_bound=spec.assignment_bound,
             )
     elif algorithm is Algorithm.GROUND:
-        result = ground_compare(left, right, options=options)
+        return ground_compare(left, right, options=options)
     elif algorithm is Algorithm.PARTIAL:
-        result = partial_signature_compare(
+        return partial_signature_compare(
             left,
             right,
             options=options,
@@ -165,7 +163,7 @@ def run_algorithm(
     elif algorithm is Algorithm.ANYTIME:
         from ..runtime.anytime import compare_anytime
 
-        result = compare_anytime(
+        return compare_anytime(
             left,
             right,
             deadline=deadline,
@@ -173,16 +171,11 @@ def run_algorithm(
             token=token,
             prepare=False,
             node_budget=spec.node_budget,
-            refine_move_budget=spec.refine_move_budget,
             check_interval=spec.check_interval,
             executor=executor,
-            assignment=spec.assignment,
         )
     else:  # pragma: no cover - exhaustive over Algorithm
         raise AssertionError(f"unhandled algorithm {algorithm!r}")
-    if refine:
-        result = refine_match(result, control=control)
-    return result
 
 
 def _exact_with_executor(

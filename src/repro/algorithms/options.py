@@ -1,9 +1,7 @@
 """Typed algorithm selection for :func:`repro.compare`.
 
-Historically the public API selected algorithms with a string plus untyped
-keyword arguments — ``compare(I, J, algorithm="exact", node_budget=10)`` —
-which meant typos surfaced at runtime deep inside the selected algorithm and
-per-algorithm knobs were undiscoverable.  This module replaces that with:
+Algorithms are selected with typed values, so a typo fails where the
+selection is written rather than deep inside the selected algorithm:
 
 * :class:`Algorithm` — an enum of the six comparison algorithms; and
 * one frozen options dataclass per algorithm (:class:`SignatureOptions`,
@@ -16,8 +14,8 @@ per-algorithm knobs were undiscoverable.  This module replaces that with:
     compare(I, J, Algorithm.EXACT)                    # defaults
     compare(I, J, ExactOptions(node_budget=10))       # tuned
 
-The legacy string form keeps working behind a :class:`DeprecationWarning`
-(see :func:`resolve_algorithm`), which names the typed replacement.
+A string name (``algorithm="exact"``) raises ``TypeError``;
+``Algorithm("exact")`` converts one.
 
 The dataclasses are frozen and picklable, so a single spec object can be
 shipped to every worker of the parallel batch engine
@@ -26,10 +24,9 @@ shipped to every worker of the parallel batch engine
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Union
-import warnings
 
 from ..runtime.anytime import DEFAULT_ANYTIME_NODE_BUDGET
 from ..runtime.budget import DEFAULT_CHECK_INTERVAL
@@ -40,8 +37,8 @@ from .exact import DEFAULT_NODE_BUDGET
 class Algorithm(Enum):
     """The comparison algorithms offered by :func:`repro.compare`.
 
-    Members compare equal to their legacy string names' semantics via
-    :attr:`value`, and each knows its options type
+    Each member's :attr:`value` is its name (``Algorithm("exact")`` is
+    ``Algorithm.EXACT``), and each knows its options type
     (:meth:`options_type`) and default options (:meth:`default_options`).
     """
 
@@ -171,19 +168,12 @@ class AnytimeOptions:
     ----------
     node_budget:
         Node cap for the exact rung (composes with the deadline).
-    refine_move_budget:
-        Move cap for the refine rung; ``None`` uses the refine default.
     check_interval:
         How many search steps between deadline/cancellation checks.
-    assignment:
-        Run the globally-optimal assignment rung between refine and exact
-        (disable to reproduce the pre-assignment three-rung ladder).
     """
 
     node_budget: int = DEFAULT_ANYTIME_NODE_BUDGET
-    refine_move_budget: int | None = None
     check_interval: int = DEFAULT_CHECK_INTERVAL
-    assignment: bool = True
 
     algorithm = Algorithm.ANYTIME
 
@@ -207,103 +197,34 @@ _OPTION_TYPES: dict[Algorithm, type] = {
     Algorithm.ASSIGNMENT: AssignmentOptions,
 }
 
-_VALID_NAMES = tuple(member.value for member in Algorithm)
-
-
-def algorithm_kwargs(spec: AlgorithmOptions) -> dict:
-    """The legacy keyword arguments encoded by a typed options object.
-
-    Only non-default values are emitted for :class:`AnytimeOptions`'s
-    ``refine_move_budget`` (the underlying function treats ``None`` as
-    "use the refine default").
-    """
-    out = {}
-    for field in fields(spec):
-        value = getattr(spec, field.name)
-        if field.name == "refine_move_budget" and value is None:
-            continue
-        if field.name == "constant_similarity" and value is None:
-            continue
-        out[field.name] = value
-    return out
-
 
 def resolve_algorithm(
-    algorithm: "Algorithm | AlgorithmOptions | str | None",
-    legacy_kwargs: dict | None = None,
-    *,
-    stacklevel: int = 3,
+    algorithm: "Algorithm | AlgorithmOptions | None",
 ) -> AlgorithmOptions:
     """Normalize any accepted ``algorithm=`` argument to typed options.
 
-    Accepts (in decreasing order of preference):
-
-    * an options dataclass instance — returned as-is (``legacy_kwargs``
-      must then be empty);
-    * an :class:`Algorithm` member — expanded to its default options, with
-      ``legacy_kwargs`` applied as overrides;
-    * ``None`` — the default algorithm (signature);
-    * a legacy string name — accepted with a :class:`DeprecationWarning`
-      naming the typed replacement; unknown strings raise ``ValueError``
-      exactly as before.
-
-    Legacy per-algorithm ``**kwargs`` (e.g. ``node_budget=10``) are folded
-    into the typed options; an unknown kwarg raises ``TypeError`` naming
-    the options class, so typos fail at the API boundary instead of deep
-    inside an algorithm.
+    An options dataclass instance is returned as-is, an :class:`Algorithm`
+    member expands to its default options, and ``None`` selects the
+    default algorithm (signature).  Anything else raises ``TypeError``;
+    for a string, the message names the ``Algorithm(...)`` call that
+    converts it.
     """
-    legacy_kwargs = dict(legacy_kwargs or ())
     if isinstance(algorithm, _OPTION_CLASSES):
-        if legacy_kwargs:
-            raise TypeError(
-                f"cannot combine typed {type(algorithm).__name__} with legacy "
-                f"keyword argument(s) {sorted(legacy_kwargs)}; set them on the "
-                f"options object instead"
-            )
         return algorithm
     if algorithm is None:
-        member = Algorithm.SIGNATURE
-    elif isinstance(algorithm, Algorithm):
-        member = algorithm
-    elif isinstance(algorithm, str):
-        if algorithm not in _VALID_NAMES:
-            raise ValueError(
-                f"unknown algorithm {algorithm!r}; choose one of {_VALID_NAMES}"
-            )
-        member = Algorithm(algorithm)
-        replacement = member.options_type().__name__
-        warnings.warn(
-            f"algorithm={algorithm!r} is deprecated and will be removed in "
-            f"repro 2.0; pass Algorithm.{member.name} or "
-            f"repro.{replacement}(...) instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-    else:
+        return SignatureOptions()
+    if isinstance(algorithm, Algorithm):
+        return algorithm.default_options()
+    if isinstance(algorithm, str):
         raise TypeError(
-            f"algorithm must be an Algorithm member, a typed options object, "
-            f"or a string; got {type(algorithm).__name__}"
+            f"algorithm={algorithm!r}: string algorithm names were removed "
+            f"in repro 2.0; pass Algorithm({algorithm!r}) or a typed options "
+            f"object such as ExactOptions(...)"
         )
-    options_type = member.options_type()
-    if legacy_kwargs:
-        known = {f.name for f in fields(options_type)}
-        unknown = sorted(set(legacy_kwargs) - known)
-        if unknown:
-            raise TypeError(
-                f"unknown option(s) {unknown} for algorithm "
-                f"{member.value!r}; {options_type.__name__} accepts "
-                f"{sorted(known) or 'no options'}"
-            )
-        if isinstance(algorithm, Algorithm):
-            warnings.warn(
-                f"passing {sorted(legacy_kwargs)} as keyword argument(s) is "
-                f"deprecated and will be removed in repro 2.0; construct "
-                f"{options_type.__name__}(...) instead",
-                DeprecationWarning,
-                stacklevel=stacklevel,
-            )
-        return options_type(**legacy_kwargs)
-    return options_type()
+    raise TypeError(
+        f"algorithm must be an Algorithm member or a typed options object; "
+        f"got {type(algorithm).__name__}"
+    )
 
 
 _OPTION_CLASSES = (
@@ -324,6 +245,5 @@ __all__ = [
     "GroundOptions",
     "PartialOptions",
     "SignatureOptions",
-    "algorithm_kwargs",
     "resolve_algorithm",
 ]

@@ -377,299 +377,6 @@ class MutableSignatureIndex(SignatureIndex):
                 )
 
 
-# -- columnar signature building --------------------------------------------
-#
-# The columnar lane builds the same three structures (signature map,
-# pattern set, probe order) from the integer code arrays of a
-# ``ColumnarInstance`` (:mod:`repro.core.columnar`): codes are assigned by
-# the same ``==`` equality that ``SignatureKey`` tuples compare under, so
-# rows share a packed key iff their maximal signatures are equal.  Keys
-# stay packed (one ``int64`` per attribute in lexicographic attribute
-# order, nulls collapsed to ``-1``); ``to_signature_index`` decodes them
-# into the exact object-model :class:`SignatureIndex` when a comparison
-# needs tuple objects.
-
-try:  # pragma: no cover - exercised through both lanes
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy genuinely absent
-    _np = None
-
-import struct as _struct
-
-_NUMPY_MIN_ROWS = 64
-"""Below this row count the vectorized lane's fixed costs dominate."""
-
-_PATTERN_NULL = -1
-"""Packed-key slot value for a null cell (constant codes are >= 0)."""
-
-
-class _ColumnarRelationSignatures:
-    """Columnar twin of :class:`_RelationSignatures` for one relation.
-
-    * ``groups`` — packed maximal-signature key → row indices (ascending,
-      i.e. relation insertion order, matching the object sigmap buckets);
-    * ``patterns`` — distinct constant-position bitmasks over the
-      lexicographically sorted attributes, in the object pattern order
-      (most constants first, then attribute names);
-    * ``probe_order`` — row indices, most-constant-first with the tuple id
-      as tie break (the Alg. 4 probe scan order).
-    """
-
-    __slots__ = (
-        "schema",
-        "sorted_attributes",
-        "sorted_positions",
-        "patterns",
-        "probe_order",
-        "_groups",
-        "_deferred",
-    )
-
-    def __init__(
-        self,
-        schema,
-        sorted_attributes: tuple[str, ...],
-        sorted_positions: tuple[int, ...],
-        groups: "dict | None",
-        patterns: tuple[int, ...],
-        probe_order,
-        deferred=None,
-    ) -> None:
-        self.schema = schema
-        self.sorted_attributes = sorted_attributes
-        self.sorted_positions = sorted_positions
-        self.patterns = patterns
-        self.probe_order = probe_order
-        self._groups = groups
-        self._deferred = deferred
-
-    @property
-    def groups(self) -> dict:
-        """Packed key → row indices; materialized from arrays on demand.
-
-        The numpy lane keeps the grouping as (sort order, run starts,
-        unique-key matrix) — the dict of ~one bytes key per row is only
-        paid for by consumers that actually probe it (decoding, parity
-        checks), never by the build hot path.
-        """
-        if self._groups is None:
-            order, starts, uniq = self._deferred
-            buf = uniq.tobytes()
-            row_bytes = uniq.shape[1] * 8
-            n_rows = order.shape[0]
-            bounds = list(starts[1:])
-            bounds.append(n_rows)
-            self._groups = {
-                buf[i * row_bytes : (i + 1) * row_bytes]: order[start:end]
-                for i, (start, end) in enumerate(zip(starts, bounds))
-            }
-            self._deferred = None
-        return self._groups
-
-    def pattern_attributes(self, mask: int) -> tuple[str, ...]:
-        """The attribute names selected by a pattern bitmask (sorted)."""
-        return tuple(
-            a
-            for j, a in enumerate(self.sorted_attributes)
-            if (mask >> j) & 1
-        )
-
-
-def _order_pattern_masks(
-    masks, sorted_attributes: tuple[str, ...]
-) -> tuple[int, ...]:
-    """Bitmasks in the object-model pattern order: ``(-len, sorted names)``."""
-
-    def attrs_of(mask: int) -> tuple[str, ...]:
-        return tuple(
-            a for j, a in enumerate(sorted_attributes) if (mask >> j) & 1
-        )
-
-    return tuple(sorted(masks, key=lambda m: (-m.bit_count(), attrs_of(m))))
-
-
-def _columnar_relation_pure(crel) -> _ColumnarRelationSignatures:
-    """Stdlib lane: one pass over the code arrays per relation."""
-    schema = crel.schema
-    sorted_attributes = schema.lexicographic_attributes()
-    sorted_positions = tuple(schema.position(a) for a in sorted_attributes)
-    columns = crel.columns
-    ids = crel.tuple_ids
-    n = len(ids)
-    k = len(sorted_positions)
-    pack = _struct.Struct(f"={k}q").pack
-    groups: dict[bytes, list[int]] = {}
-    pattern_set: set[int] = set()
-    constant_counts = [0] * n
-    for row in range(n):
-        mask = 0
-        key_codes = []
-        for j in range(k):
-            code = columns[sorted_positions[j]][row]
-            if code < 0:
-                key_codes.append(_PATTERN_NULL)
-            else:
-                key_codes.append(code)
-                mask |= 1 << j
-        bucket = groups.setdefault(pack(*key_codes), [])
-        bucket.append(row)
-        pattern_set.add(mask)
-        constant_counts[row] = mask.bit_count()
-    probe_order = tuple(
-        sorted(range(n), key=lambda r: (-constant_counts[r], ids[r]))
-    )
-    return _ColumnarRelationSignatures(
-        schema,
-        sorted_attributes,
-        sorted_positions,
-        groups,
-        _order_pattern_masks(pattern_set, sorted_attributes),
-        probe_order,
-    )
-
-
-def _columnar_relation_numpy(crel) -> _ColumnarRelationSignatures:
-    """Vectorized lane: group rows by packed key via a lexicographic sort."""
-    schema = crel.schema
-    sorted_attributes = schema.lexicographic_attributes()
-    sorted_positions = tuple(schema.position(a) for a in sorted_attributes)
-    k = len(sorted_positions)
-    matrix = crel.matrix()[:, sorted_positions]
-    ground = matrix >= 0
-    keys = _np.ascontiguousarray(
-        _np.where(ground, matrix, _np.int64(_PATTERN_NULL))
-    )
-    # Group equal rows with ONE memcmp sort of the packed 8k-byte keys.
-    # (unique(axis=0) + split would sort twice and then allocate one
-    # sub-array per group — at TPC-H scale that's most of the build.)
-    packed = keys.view(_np.dtype((_np.void, k * 8))).ravel()
-    order = _np.argsort(packed, kind="stable")
-    sorted_keys = keys[order]
-    n = sorted_keys.shape[0]
-    is_start = _np.empty(n, dtype=bool)
-    is_start[0] = True
-    _np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1, out=is_start[1:])
-    starts = _np.flatnonzero(is_start)
-    uniq = sorted_keys[starts]
-    weights = _np.left_shift(_np.int64(1), _np.arange(k, dtype=_np.int64))
-    pattern_rows = ground @ weights
-    pattern_set = set(map(int, _np.unique(pattern_rows)))
-    constant_counts = ground.sum(axis=1)
-    probe_order = _np.lexsort((_np.array(crel.tuple_ids), -constant_counts))
-    return _ColumnarRelationSignatures(
-        schema,
-        sorted_attributes,
-        sorted_positions,
-        None,
-        _order_pattern_masks(pattern_set, sorted_attributes),
-        probe_order,
-        deferred=(order, starts, uniq),
-    )
-
-
-class ColumnarSignatureIndex:
-    """Signature structures built from the columnar view of an instance.
-
-    Equivalent to :meth:`SignatureIndex.build` in content — same bucket
-    membership, pattern order, and probe order — but built by array passes
-    over integer codes instead of per-tuple Python objects, which is the
-    ``bench_scaling`` hot path at TPC-H scale.  Use
-    :meth:`to_signature_index` to materialize the object-model index
-    (``signature_compare`` accepts either kind and converts on entry).
-    """
-
-    __slots__ = ("source", "_relations")
-
-    def __init__(self, source, relations: dict) -> None:
-        self.source = source
-        self._relations = relations
-
-    @classmethod
-    def build(cls, source, lane: str = "auto") -> "ColumnarSignatureIndex":
-        """Index every relation of a :class:`ColumnarInstance`.
-
-        ``lane`` selects the implementation: ``"auto"`` (numpy above
-        ``_NUMPY_MIN_ROWS`` rows when available), ``"numpy"``, ``"pure"``.
-        Both lanes produce identical structures (property-tested).
-        """
-        if lane not in ("auto", "numpy", "pure"):
-            raise ValueError(f"unknown lane {lane!r}")
-        if lane == "numpy" and _np is None:
-            raise RuntimeError("numpy lane requested but numpy is missing")
-        relations: dict[str, _ColumnarRelationSignatures] = {}
-        for name, crel in source.relations.items():
-            use_numpy = (
-                _np is not None
-                and crel.schema.arity > 0
-                and crel.n_rows > 0
-                and (lane == "numpy" or crel.n_rows >= _NUMPY_MIN_ROWS)
-                and lane != "pure"
-            )
-            if use_numpy:
-                relations[name] = _columnar_relation_numpy(crel)
-            else:
-                relations[name] = _columnar_relation_pure(crel)
-        return cls(source, relations)
-
-    def relation(self, name: str) -> _ColumnarRelationSignatures:
-        return self._relations[name]
-
-    def matches(self, instance: Instance) -> bool:
-        """Cheap check that this index could describe ``instance``."""
-        names = set(instance.schema.relation_names())
-        if names != set(self._relations):
-            return False
-        return all(
-            self.source.relations[name].n_rows
-            == sum(1 for _ in instance.relation(name))
-            for name in names
-        )
-
-    def to_signature_index(self, instance: Instance) -> SignatureIndex:
-        """Decode into the exact object-model :class:`SignatureIndex`.
-
-        ``instance`` must be the object twin of the columnar source (same
-        relations, same tuple ids in the same order — verified).  The
-        result is structurally equal to ``SignatureIndex.build(instance)``:
-        same sigmap buckets in first-occurrence order, same patterns, same
-        probe order.
-        """
-        decode = self.source.decode
-        relations: dict[str, _RelationSignatures] = {}
-        for name, csigs in self._relations.items():
-            crel = self.source.relations[name]
-            tuples = list(instance.relation(name))
-            if tuple(t.tuple_id for t in tuples) != crel.tuple_ids:
-                raise ValueError(
-                    f"columnar index does not describe relation {name!r} "
-                    "of this instance (tuple ids differ)"
-                )
-            k = len(csigs.sorted_positions)
-            unpack = _struct.Struct(f"={k}q").unpack
-            sigmap: dict[SignatureKey, tuple[Tuple, ...]] = {}
-            for key_bytes, rows in sorted(
-                csigs.groups.items(), key=lambda item: item[1][0]
-            ):
-                codes = unpack(key_bytes)
-                key = tuple(
-                    (attribute, decode[code])
-                    for attribute, code in zip(
-                        csigs.sorted_attributes, codes
-                    )
-                    if code != _PATTERN_NULL
-                )
-                sigmap[key] = tuple(tuples[row] for row in rows)
-            patterns = tuple(
-                frozenset(csigs.pattern_attributes(mask))
-                for mask in csigs.patterns
-            )
-            probe_order = tuple(tuples[row] for row in csigs.probe_order)
-            relations[name] = _RelationSignatures(
-                sigmap=sigmap, patterns=patterns, probe_order=probe_order
-            )
-        return SignatureIndex(relations)
-
-
 def optimistic_pair_score(t: Tuple, t_prime: Tuple, lam: float) -> float:
     """Upper bound on ``score(M, t, t')`` independent of the value mappings.
 
@@ -1037,10 +744,6 @@ def signature_compare(
         options = MatchOptions.general()
     left.assert_comparable_with(right)
     started = time.perf_counter()
-    if isinstance(left_index, ColumnarSignatureIndex):
-        left_index = left_index.to_signature_index(left)
-    if isinstance(right_index, ColumnarSignatureIndex):
-        right_index = right_index.to_signature_index(right)
     if left_index is None:
         left_index = SignatureIndex.build(left)
     elif not left_index.matches(left):

@@ -41,7 +41,6 @@ from .core.instance import Instance, prepare_for_comparison
 from .mappings.constraints import MatchOptions
 from .parallel.cache import SignatureCache
 from .parallel.engine import compare_many
-from .runtime.anytime import compare_anytime as _compare_anytime
 from .runtime.budget import CancellationToken
 from .runtime.faults import FaultPlan
 from .runtime.isolation import WorkerLimits
@@ -56,8 +55,7 @@ class Comparator:
     algorithm:
         An :class:`~repro.Algorithm` member, a typed options instance
         (e.g. :class:`~repro.ExactOptions`), or ``None`` for signature
-        defaults.  Legacy strings are accepted with a
-        ``DeprecationWarning``.
+        defaults.
     options:
         Match constraints and λ applied to every comparison.
     jobs:
@@ -88,13 +86,12 @@ class Comparator:
 
     def __init__(
         self,
-        algorithm: Algorithm | AlgorithmOptions | str | None = None,
+        algorithm: Algorithm | AlgorithmOptions | None = None,
         options: MatchOptions | None = None,
         *,
         jobs: int = 1,
         cache: SignatureCache | None = None,
         deadline: float | None = None,
-        refine: bool = False,
         limits: WorkerLimits | None = None,
         retry: RetryPolicy | None = None,
         fault_plan: FaultPlan | None = None,
@@ -107,7 +104,6 @@ class Comparator:
         self.jobs = jobs
         self.cache = cache if cache is not None else SignatureCache()
         self.deadline = deadline
-        self.refine = refine
         self.limits = limits
         self.retry = retry
         self.fault_plan = fault_plan
@@ -131,7 +127,6 @@ class Comparator:
         options: MatchOptions | None = None,
         prepare: bool = True,
         align_schemas: bool = False,
-        refine: bool | None = None,
         deadline: float | None = None,
         token: CancellationToken | None = None,
         executor: Executor | None = None,
@@ -146,8 +141,8 @@ class Comparator:
         match must reference your exact tuple objects), schema alignment,
         cancellation, or a fault-tolerant executor for a single pair.
 
-        Parameters mirror :func:`repro.compare`; ``options``, ``refine``
-        and ``deadline`` default to the session's settings.
+        Parameters mirror :func:`repro.compare`; ``options`` and
+        ``deadline`` default to the session's settings.
         """
         if align_schemas:
             from .versioning.operations import align_schemas as _align
@@ -164,7 +159,6 @@ class Comparator:
             deadline=self.deadline if deadline is None else deadline,
             token=token,
             executor=executor,
-            refine=self.refine if refine is None else refine,
         )
 
     def compare_anytime(
@@ -180,31 +174,28 @@ class Comparator:
     ) -> ComparisonResult:
         """Best similarity obtainable within ``deadline`` seconds.
 
-        Runs the anytime ladder (signature → refine → exact) regardless
-        of the session algorithm; when the session was configured with
-        :class:`~repro.AnytimeOptions`, its knobs (node budget, refine
-        move budget, check interval) shape the ladder.  ``deadline``
-        defaults to the session deadline.
+        Runs the anytime ladder (signature → refine → assignment → exact)
+        regardless of the session algorithm.  When the session was
+        configured with :class:`~repro.AnytimeOptions`, its knobs (node
+        budget, check interval) shape the ladder, so the result equals
+        :meth:`compare_one`'s.  ``deadline`` defaults to the session
+        deadline.
         """
         spec = (
             self.spec
             if isinstance(self.spec, AnytimeOptions)
             else AnytimeOptions()
         )
-        kwargs = {}
-        if spec.refine_move_budget is not None:
-            kwargs["refine_move_budget"] = spec.refine_move_budget
-        return _compare_anytime(
+        if prepare:
+            left, right = prepare_for_comparison(left, right)
+        return run_algorithm(
             left,
             right,
+            spec,
+            self.options if options is None else options,
             deadline=self.deadline if deadline is None else deadline,
-            options=self.options if options is None else options,
             token=token,
-            prepare=prepare,
-            node_budget=spec.node_budget,
-            check_interval=spec.check_interval,
             executor=executor,
-            **kwargs,
         )
 
     def compare_many(
@@ -225,7 +216,6 @@ class Comparator:
             jobs=self.jobs if jobs is None else jobs,
             cache=self.cache,
             deadline=self.deadline,
-            refine=self.refine,
             limits=self.limits,
             retry=self.retry,
             fault_plan=self.fault_plan,

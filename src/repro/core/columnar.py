@@ -2,8 +2,8 @@
 
 The object model (:mod:`repro.core.instance`) stores one Python object per
 cell, which is the right shape for the algorithms' correctness story but the
-wrong shape for bulk passes: signature building, compatibility indexing, and
-sketching all touch every cell once, and at TPC-H scale the per-object
+wrong shape for bulk passes: compatibility indexing, sketching, and
+fingerprinting all touch every cell once, and at TPC-H scale the per-object
 overhead dominates.  This module provides the columnar twin:
 
 * every distinct **constant** of the instance gets a non-negative integer
@@ -26,10 +26,7 @@ object path when overrides exist.
 
 The view is built once per instance and cached on it
 (:meth:`repro.core.instance.Instance.columns`); ``to_instance`` goes the
-other way.  An optional numpy fast lane (mirroring the CRC32C pattern in
-:mod:`repro.index.wal`) exposes each relation as a zero-copy-per-column
-``int64`` matrix for vectorized passes; everything degrades to the stdlib
-``array`` / ``memoryview`` baseline when numpy is absent.
+other way.
 """
 
 from __future__ import annotations
@@ -45,19 +42,9 @@ from .values import LabeledNull, Value, is_null
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .instance import Instance
 
-try:  # pragma: no cover - exercised indirectly via both lanes
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy genuinely absent
-    _np = None
-
 #: Types for which ``==`` within the same type implies an identical repr,
 #: so a code representative reconstructs the cell exactly without a check.
 _REPR_SAFE_TYPES = (str, int, bool, bytes, type(None))
-
-
-def numpy_or_none():
-    """The numpy module when available, else ``None`` (stdlib baseline)."""
-    return _np
 
 
 def null_code(index: int) -> int:
@@ -127,7 +114,7 @@ class _Coder:
 class ColumnarRelation:
     """One relation as code columns: ``columns[pos][row]`` is a cell code."""
 
-    __slots__ = ("schema", "tuple_ids", "columns", "_matrix")
+    __slots__ = ("schema", "tuple_ids", "columns")
 
     def __init__(
         self,
@@ -138,41 +125,10 @@ class ColumnarRelation:
         self.schema = schema
         self.tuple_ids = tuple_ids
         self.columns = columns
-        self._matrix = None
 
     @property
     def n_rows(self) -> int:
         return len(self.tuple_ids)
-
-    def row_codes(self, row: int) -> tuple[int, ...]:
-        """The code vector of one row, in attribute order."""
-        return tuple(column[row] for column in self.columns)
-
-    def column_view(self, position: int) -> memoryview:
-        """Zero-copy memoryview of one column (the stdlib baseline lane)."""
-        return memoryview(self.columns[position])
-
-    def matrix(self):
-        """``int64`` matrix of shape ``(n_rows, arity)``, or ``None``.
-
-        Built lazily from zero-copy per-column views and cached; ``None``
-        when numpy is unavailable.
-        """
-        if _np is None:
-            return None
-        if self._matrix is None:
-            if not self.columns or not self.tuple_ids:
-                self._matrix = _np.empty(
-                    (self.n_rows, self.schema.arity), dtype=_np.int64
-                )
-            else:
-                self._matrix = _np.column_stack(
-                    [
-                        _np.frombuffer(column, dtype=_np.int64)
-                        for column in self.columns
-                    ]
-                )
-        return self._matrix
 
 
 class ColumnarInstance:
@@ -316,7 +272,6 @@ class ColumnarInstance:
         for position, code in enumerate(codes):
             crel.columns[position].append(code)
         crel.tuple_ids = crel.tuple_ids + (t.tuple_id,)
-        crel._matrix = None
         return True
 
     # -- back to the object model ------------------------------------------
@@ -503,7 +458,7 @@ def build_from_columns(
             )
             counter += 1
     # The columnar twin is the point of bulk ingest: build and cache it now
-    # so downstream passes (signatures, sketches, fingerprints) reuse it.
+    # so downstream passes (compatibility, sketches, fingerprints) reuse it.
     instance.columns()
     return instance
 
@@ -514,5 +469,4 @@ __all__ = [
     "build_from_columns",
     "null_code",
     "null_index",
-    "numpy_or_none",
 ]

@@ -91,12 +91,11 @@ class RefinePolicy:
     brute force is required.
 
     ``algorithm`` accepts the same vocabulary as :func:`repro.compare`
-    (an :class:`~repro.Algorithm` member, a typed options instance, or a
-    legacy string).  ``None`` — the default — refines with the signature
-    algorithm, whose scores the sketch bounds are admissible for; other
-    algorithms re-rank with their own scores, so the index-vs-brute-force
-    parity guarantee then only holds against a brute force running the
-    same algorithm.
+    (an :class:`~repro.Algorithm` member or a typed options instance).
+    ``None`` — the default — refines with the signature algorithm, whose
+    scores the sketch bounds are admissible for; other algorithms re-rank
+    with their own scores, so the index-vs-brute-force parity guarantee
+    then only holds against a brute force running the same algorithm.
 
     ``assignment_bounds`` tightens each surviving candidate's sketch bound
     with the solved 1:1 assignment relaxation
@@ -112,7 +111,7 @@ class RefinePolicy:
     retry: RetryPolicy | None = None
     fault_plan: FaultPlan | None = None
     out: Callable[[str], None] | None = None
-    algorithm: "Algorithm | AlgorithmOptions | str | None" = None
+    algorithm: "Algorithm | AlgorithmOptions | None" = None
     assignment_bounds: bool = False
 
     def __post_init__(self) -> None:

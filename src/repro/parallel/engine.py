@@ -51,7 +51,6 @@ def compare_pair_job(
     spec: AlgorithmOptions,
     options: MatchOptions | None = None,
     deadline: float | None = None,
-    refine: bool = False,
     left_index: SignatureIndex | None = None,
     right_index: SignatureIndex | None = None,
     collect: bool = False,
@@ -79,7 +78,6 @@ def compare_pair_job(
             spec,
             options=options,
             deadline=deadline,
-            refine=refine,
             left_index=left_index,
             right_index=right_index,
         )
@@ -92,7 +90,6 @@ def compare_pair_job(
             spec,
             options=options,
             deadline=deadline,
-            refine=refine,
             left_index=left_index,
             right_index=right_index,
         )
@@ -138,13 +135,12 @@ def _degraded_result(
 
 def compare_many(
     pairs: Iterable[tuple[Instance, Instance]],
-    algorithm: Algorithm | AlgorithmOptions | str | None = None,
+    algorithm: Algorithm | AlgorithmOptions | None = None,
     options: MatchOptions | None = None,
     *,
     jobs: int = 1,
     cache: SignatureCache | None = None,
     deadline: float | None = None,
-    refine: bool = False,
     limits: WorkerLimits | None = None,
     retry: RetryPolicy | None = None,
     fault_plan: FaultPlan | None = None,
@@ -161,8 +157,8 @@ def compare_many(
         and indexes it only once.
     algorithm:
         Anything :func:`repro.compare` accepts: an :class:`Algorithm`
-        member, a typed options instance, ``None`` (signature defaults), or
-        a legacy string (deprecated).
+        member, a typed options instance, or ``None`` (signature
+        defaults).
     options:
         Match constraints and λ, shared by every pair.
     jobs:
@@ -230,7 +226,6 @@ def compare_many(
                         spec,
                         options,
                         deadline=deadline,
-                        refine=refine,
                         left_index=left_entry.index,
                         right_index=right_entry.index,
                         collect=collecting,
@@ -260,7 +255,6 @@ def compare_many(
                         ),
                         kwargs={
                             "deadline": deadline,
-                            "refine": refine,
                             "left_index": left_entry.index,
                             "right_index": right_entry.index,
                             "collect": collecting,

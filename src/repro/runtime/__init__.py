@@ -14,7 +14,8 @@ This package gives all of them one resource-control vocabulary:
   so "proved optimal" is distinguishable from "gave up";
 * :class:`CancellationToken` — cooperative external kill switch;
 * :func:`compare_anytime` — the graceful-degradation ladder
-  (signature → refine → exact) returning the best result the budget allows.
+  (signature → refine → assignment → exact) returning the best result the
+  budget allows.
 
 On top of the cooperative layer sits the **fault-tolerant execution
 layer** (see ``docs/ROBUSTNESS.md``):

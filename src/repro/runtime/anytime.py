@@ -49,10 +49,8 @@ def compare_anytime(
     token: CancellationToken | None = None,
     prepare: bool = True,
     node_budget: int = DEFAULT_ANYTIME_NODE_BUDGET,
-    refine_move_budget: int | None = None,
     check_interval: int = DEFAULT_CHECK_INTERVAL,
     executor=None,
-    assignment: bool = True,
 ):
     """Best similarity obtainable within ``deadline`` seconds.
 
@@ -72,11 +70,8 @@ def compare_anytime(
         interval.
     node_budget:
         Node cap for the exact rung (composes with the deadline).
-    refine_move_budget:
-        Move cap for the refine rung; ``None`` uses the refine default.
-    assignment:
-        Run the globally-optimal assignment rung between refine and exact
-        (disable to reproduce the pre-assignment three-rung ladder).
+    check_interval:
+        How many search steps between deadline/cancellation checks.
     executor:
         Optional :class:`~repro.runtime.retry.Executor`.  When given, the
         exact rung runs under its fault-tolerance policy — optionally in a
@@ -112,7 +107,7 @@ def compare_anytime(
     # runtime primitives, and a top-level import would be circular.
     from ..algorithms.assignment import assignment_compare
     from ..algorithms.exact import exact_compare
-    from ..algorithms.refine import DEFAULT_MOVE_BUDGET, refine_match
+    from ..algorithms.refine import refine_match
     from ..algorithms.result import ComparisonResult
     from ..algorithms.signature import signature_compare
 
@@ -140,15 +135,7 @@ def compare_anytime(
         # Rung 2 — refinement under the shared budget.
         if control.check():
             rungs_run.append("refine")
-            refined = refine_match(
-                best,
-                move_budget=(
-                    DEFAULT_MOVE_BUDGET
-                    if refine_move_budget is None
-                    else refine_move_budget
-                ),
-                control=control,
-            )
+            refined = refine_match(best, control=control)
             if refined.similarity > best.similarity:
                 best, best_rung = refined, "refine"
 
@@ -156,7 +143,7 @@ def compare_anytime(
         # the current best so the greedy floor is not recomputed; under a
         # tripped budget it returns the seed unchanged (degrade-to-greedy),
         # so the ladder's floor guarantee is preserved.
-        if assignment and control.check():
+        if control.check():
             rungs_run.append("assignment")
             assigned = assignment_compare(
                 left,

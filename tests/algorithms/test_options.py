@@ -1,4 +1,4 @@
-"""Typed algorithm selection (algorithms.options) and its legacy shims."""
+"""Typed algorithm selection (algorithms.options)."""
 
 import pytest
 
@@ -13,7 +13,7 @@ from repro import (
     PartialOptions,
     SignatureOptions,
 )
-from repro.algorithms.options import algorithm_kwargs, resolve_algorithm
+from repro.algorithms.options import resolve_algorithm
 
 
 @pytest.fixture()
@@ -66,43 +66,34 @@ class TestResolveAlgorithm:
         given = ExactOptions(node_budget=7)
         assert resolve_algorithm(given) is given
 
-    def test_typed_options_reject_legacy_kwargs(self):
-        with pytest.raises(TypeError, match="legacy keyword"):
-            resolve_algorithm(ExactOptions(), {"node_budget": 7})
+    def test_typed_options_reject_legacy_kwargs(self, instances):
+        left, right = instances
+        with pytest.raises(TypeError, match="node_budget"):
+            repro.compare(left, right, ExactOptions(), node_budget=7)
 
-    def test_legacy_string_warns_and_resolves(self):
-        with pytest.warns(DeprecationWarning, match="Algorithm.EXACT"):
-            spec = resolve_algorithm("exact")
-        assert isinstance(spec, ExactOptions)
-
-    def test_legacy_kwargs_warn_and_land_on_the_options(self):
-        with pytest.warns(DeprecationWarning):
-            spec = resolve_algorithm("exact", {"node_budget": 3})
-        assert spec.node_budget == 3
+    def test_legacy_string_raises_naming_the_enum(self):
+        with pytest.raises(TypeError, match=r"Algorithm\('exact'\)"):
+            resolve_algorithm("exact")
+        assert isinstance(resolve_algorithm(Algorithm("exact")), ExactOptions)
 
     def test_unknown_string_raises(self):
-        with pytest.raises(ValueError, match="unknown algorithm"):
+        with pytest.raises(TypeError, match="removed in repro 2.0"):
             resolve_algorithm("quantum")
+        with pytest.raises(ValueError, match="quantum"):
+            Algorithm("quantum")
 
     def test_unknown_kwarg_names_the_options_class(self):
         with pytest.raises(TypeError, match="ExactOptions"):
-            resolve_algorithm(Algorithm.EXACT, {"warp_factor": 9})
-
-    def test_algorithm_kwargs_extracts_the_knobs(self):
-        kwargs = algorithm_kwargs(ExactOptions(node_budget=5, prune=False))
-        assert kwargs == {
-            "node_budget": 5, "prune": False, "assignment_bound": False,
-        }
+            ExactOptions(warp_factor=9)
 
 
 class TestCompareWithTypedOptions:
     def test_enum_and_string_agree(self, instances):
         left, right = instances
         typed = repro.compare(left, right, Algorithm.EXACT)
-        with pytest.warns(DeprecationWarning):
-            legacy = repro.compare(left, right, "exact")
-        assert typed.similarity == legacy.similarity
-        assert typed.algorithm == legacy.algorithm
+        named = repro.compare(left, right, Algorithm("exact"))
+        assert typed.similarity == named.similarity
+        assert typed.algorithm == named.algorithm
 
     def test_options_instance_carries_its_knobs(self, instances):
         left, right = instances

@@ -4,12 +4,7 @@ import pickle
 
 import pytest
 
-from repro.core.columnar import (
-    ColumnarInstance,
-    null_code,
-    null_index,
-    numpy_or_none,
-)
+from repro.core.columnar import ColumnarInstance, null_code, null_index
 from repro.core.errors import InstanceError, SchemaError
 from repro.core.instance import Instance
 from repro.core.schema import RelationSchema, Schema
@@ -200,19 +195,6 @@ class TestCacheLifecycle:
         assert pickle.dumps(instance) == pickle.dumps(fresh)
 
 
-@pytest.mark.skipif(numpy_or_none() is None, reason="numpy not installed")
-class TestNumpyLane:
-    def test_matrix_matches_columns(self):
-        np = numpy_or_none()
-        view = small_instance().columns()
-        crel = view.relations["R"]
-        matrix = crel.matrix()
-        assert matrix.dtype == np.int64
-        assert matrix.shape == (4, 2)
-        for position in range(2):
-            assert list(matrix[:, position]) == list(crel.columns[position])
-
-
 class TestTryAppend:
     """``Instance.add`` patches the cached view in place when lossless."""
 
@@ -247,15 +229,6 @@ class TestTryAppend:
         assert {t.tuple_id: t.values for t in back.tuples()} == {
             t.tuple_id: t.values for t in instance.tuples()
         }
-
-    def test_append_resets_matrix_cache(self):
-        if numpy_or_none() is None:
-            pytest.skip("numpy not installed")
-        instance = small_instance()
-        crel = instance.columns().relations["R"]
-        crel.matrix()
-        instance.add_row("R", "t9", ("x", 1))
-        assert crel.matrix().shape == (5, 2)
 
     def test_fresh_constant_invalidates(self):
         instance = small_instance()

@@ -3,6 +3,8 @@
 import pytest
 
 from repro import (
+    Algorithm,
+    ExactOptions,
     Instance,
     LabeledNull,
     MatchOptions,
@@ -32,8 +34,8 @@ class TestPublicAPI:
     def test_unknown_algorithm_rejected(self):
         left = Instance.from_rows("R", ("A",), [("x",)], id_prefix="l")
         right = Instance.from_rows("R", ("A",), [("x",)], id_prefix="r")
-        with pytest.raises(ValueError, match="unknown algorithm"):
-            compare(left, right, algorithm="quantum")
+        with pytest.raises(ValueError, match="not a valid Algorithm"):
+            compare(left, right, algorithm=Algorithm("quantum"))
 
     def test_all_algorithms_agree_on_ground_identical(self):
         left = Instance.from_rows(
@@ -43,7 +45,10 @@ class TestPublicAPI:
             "R", ("A", "B"), [("y", 2), ("x", 1)], id_prefix="r"
         )
         options = MatchOptions.versioning()
-        for algorithm in ("signature", "exact", "ground", "partial"):
+        for algorithm in (
+            Algorithm.SIGNATURE, Algorithm.EXACT,
+            Algorithm.GROUND, Algorithm.PARTIAL,
+        ):
             assert compare(
                 left, right, algorithm=algorithm, options=options
             ).similarity == pytest.approx(1.0), algorithm
@@ -51,7 +56,7 @@ class TestPublicAPI:
     def test_kwargs_forwarded(self):
         left = Instance.from_rows("R", ("A",), [("x",)], id_prefix="l")
         right = Instance.from_rows("R", ("A",), [("x",)], id_prefix="r")
-        result = compare(left, right, algorithm="exact", node_budget=10)
+        result = compare(left, right, algorithm=ExactOptions(node_budget=10))
         assert result.stats["node_budget"] == 10
 
 

@@ -83,9 +83,10 @@ class TestComparator:
             "entries", "hits", "misses", "evictions", "hit_rate",
         }
 
-    def test_legacy_string_algorithm_warns(self):
-        with pytest.warns(DeprecationWarning):
-            comparator = Comparator(algorithm="exact")
+    def test_legacy_string_algorithm_raises(self):
+        with pytest.raises(TypeError, match=r"Algorithm\('exact'\)"):
+            Comparator(algorithm="exact")
+        comparator = Comparator(algorithm=Algorithm("exact"))
         assert comparator.spec.algorithm is Algorithm.EXACT
 
     def test_rejects_nonpositive_jobs(self):

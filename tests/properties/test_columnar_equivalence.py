@@ -1,10 +1,10 @@
 """Property tests: the columnar hot paths are exact twins of the object model.
 
-Every pass the columnar engine rewrote — Alg. 4 signature building, Alg. 2
-compatible-tuple discovery, min-hash sketching, content fingerprinting —
-must produce results *identical* to the object-model implementation on any
-instance, nulls and all.  These properties are the contract that lets the
-dispatchers pick a lane purely on performance grounds.
+Every pass the columnar engine rewrote — Alg. 2 compatible-tuple discovery,
+min-hash sketching, content fingerprinting — must produce results
+*identical* to the object-model implementation on any instance, nulls and
+all.  These properties are the contract that lets the dispatchers pick a
+lane purely on performance grounds.
 """
 
 from __future__ import annotations
@@ -16,16 +16,10 @@ from repro.algorithms.compatibility import (
     compatible_tuples,
     compatible_tuples_of_instances,
 )
-from repro.algorithms.signature import (
-    ColumnarSignatureIndex,
-    SignatureIndex,
-    signature_compare,
-)
 from repro.core.instance import Instance, prepare_for_comparison
 from repro.core.schema import RelationSchema
 from repro.core.values import LabeledNull
 from repro.index.sketch import IndexParams, InstanceSketch
-from repro.mappings.constraints import MatchOptions
 from repro.parallel.cache import instance_fingerprint
 
 CONSTANTS = ["a", "b", "c", 1, 2, "z9"]
@@ -56,50 +50,6 @@ def instance_pair(draw):
     left = draw(instance(prefix="L"))
     right = draw(instance(prefix="R"))
     return left, right
-
-
-def assert_same_signature_index(
-    object_index: SignatureIndex, rebuilt: SignatureIndex
-) -> None:
-    """Structural equality, including every dict/tuple iteration order."""
-    for name in ("R",):
-        ours = object_index.relation(name)
-        theirs = rebuilt.relation(name)
-        assert list(ours.sigmap.keys()) == list(theirs.sigmap.keys())
-        for key in ours.sigmap:
-            assert [t.tuple_id for t in ours.sigmap[key]] == [
-                t.tuple_id for t in theirs.sigmap[key]
-            ]
-        assert ours.patterns == theirs.patterns
-        assert [t.tuple_id for t in ours.probe_order] == [
-            t.tuple_id for t in theirs.probe_order
-        ]
-
-
-class TestSignatureEquivalence:
-    @given(inst=instance())
-    @settings(max_examples=80, deadline=None)
-    def test_both_columnar_lanes_match_object_build(self, inst):
-        object_index = SignatureIndex.build(inst)
-        for lane in ("pure", "numpy"):
-            columnar = ColumnarSignatureIndex.build(inst.columns(), lane=lane)
-            rebuilt = columnar.to_signature_index(inst)
-            assert_same_signature_index(object_index, rebuilt)
-
-    @given(pair=instance_pair())
-    @settings(max_examples=40, deadline=None)
-    def test_compare_with_columnar_indexes_is_identical(self, pair):
-        left, right = prepare_for_comparison(*pair)
-        baseline = signature_compare(left, right, MatchOptions.general())
-        via_columnar = signature_compare(
-            left,
-            right,
-            MatchOptions.general(),
-            left_index=ColumnarSignatureIndex.build(left.columns()),
-            right_index=ColumnarSignatureIndex.build(right.columns()),
-        )
-        assert via_columnar.similarity == baseline.similarity
-        assert set(via_columnar.match.m) == set(baseline.match.m)
 
 
 class TestCompatibilityEquivalence:

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from repro import compare
+from repro import Algorithm, AnytimeOptions, Comparator, compare
 from repro.algorithms.signature import signature_compare
 from repro.datagen.perturb import PerturbationConfig, perturb
 from repro.datagen.synthetic import generate_dataset
@@ -117,7 +117,7 @@ class TestCompareEntryPoint:
     def test_compare_dispatches_anytime(self, table2_scale_pair):
         source, target = table2_scale_pair
         result = compare(
-            source, target, algorithm="anytime", deadline=1.0,
+            source, target, algorithm=Algorithm.ANYTIME, deadline=1.0,
             options=MatchOptions.versioning(),
         )
         assert result.algorithm.startswith("anytime(")
@@ -129,4 +129,28 @@ class TestCompareEntryPoint:
         I = Instance.from_rows("R", ("A",), [("x",)], id_prefix="l")
         J = Instance.from_rows("R", ("A",), [("x",)], id_prefix="r")
         with pytest.raises(ValueError, match="not supported"):
-            compare(I, J, algorithm="ground", deadline=1.0)
+            compare(I, J, algorithm=Algorithm.GROUND, deadline=1.0)
+
+    def test_comparator_compare_anytime_matches_compare_one(self):
+        # One spec, two entry points: both must run the same ladder with
+        # the session's knobs.  Uncapped, the exact rung completes on this
+        # pair in ~350 nodes; the session's cap of 100 must cut it in both.
+        scenario = perturb(
+            generate_dataset("doct", rows=30, seed=0),
+            PerturbationConfig.mod_cell(5.0, seed=0),
+        )
+        comparator = Comparator(
+            AnytimeOptions(node_budget=100, check_interval=16),
+            MatchOptions.versioning(),
+        )
+        ladder = comparator.compare_anytime(scenario.source, scenario.target)
+        dispatched = comparator.compare_one(scenario.source, scenario.target)
+        assert ladder.outcome is Outcome.BUDGET_EXHAUSTED
+        assert dispatched.outcome is ladder.outcome
+        assert dispatched.similarity == ladder.similarity
+        assert set(dispatched.match.m) == set(ladder.match.m)
+        assert (
+            dispatched.stats["anytime_rungs_run"]
+            == ladder.stats["anytime_rungs_run"]
+            == "signature,refine,assignment,exact"
+        )
