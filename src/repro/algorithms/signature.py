@@ -377,25 +377,35 @@ class MutableSignatureIndex(SignatureIndex):
                 )
 
 
+def optimistic_cell_score(
+    left_value: Value, right_value: Value, lam: float
+) -> float:
+    """Upper bound on one cell's score independent of the value mappings.
+
+    Equal constants score 1, null-null cells at most 1 (``2/⊓`` with
+    ``⊓ ≥ 2``), null-constant cells at most λ, conflicting constants 0.
+    Greedy candidate ordering, the assignment relaxation (and through it
+    exact pruning) and the refine rung's move bound all read this table.
+    """
+    left_null = is_null_value(left_value)
+    right_null = is_null_value(right_value)
+    if not left_null and not right_null:
+        return 1.0 if left_value == right_value else 0.0
+    if left_null and right_null:
+        return 1.0
+    return lam
+
+
 def optimistic_pair_score(t: Tuple, t_prime: Tuple, lam: float) -> float:
     """Upper bound on ``score(M, t, t')`` independent of the value mappings.
 
-    Equal constants contribute 1, null-null cells at most 1, null-constant
-    cells at most λ, conflicting constants 0.  Greedy candidate ordering
-    uses this to try the most promising matches first (the intuition behind
-    the signature algorithm, Sec. 6.2).
+    The sum of :func:`optimistic_cell_score` over the pair's cells.  Greedy
+    candidate ordering uses this to try the most promising matches first
+    (the intuition behind the signature algorithm, Sec. 6.2).
     """
     total = 0.0
     for left_value, right_value in zip(t.values, t_prime.values):
-        left_null = is_null_value(left_value)
-        right_null = is_null_value(right_value)
-        if not left_null and not right_null:
-            if left_value == right_value:
-                total += 1.0
-        elif left_null and right_null:
-            total += 1.0
-        else:
-            total += lam
+        total += optimistic_cell_score(left_value, right_value, lam)
     return total
 
 

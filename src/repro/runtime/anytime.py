@@ -13,7 +13,9 @@ Rungs, cheapest first:
    the floor.  Runs even under a 0-second deadline (it still honors the
    cancellation token).
 2. **refine** — hill-climbing over the signature match; never lowers the
-   score, stops at the shared deadline.
+   score, stops at the shared deadline.  Moves that provably cannot win
+   (conflicting adds, drops whose bounded gain cannot repay their loss)
+   are settled without a full re-score.
 3. **assignment** — globally-optimal 1:1 completion over the candidate
    matrix (polynomial); never lowers the score, degrades back to the
    floor under the shared budget.
