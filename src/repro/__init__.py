@@ -31,8 +31,9 @@ constraint-repair evaluation — are presets on
 Bulk data enters columnar: :meth:`Instance.from_columns` ingests
 per-attribute value arrays (with optional null masks) and arrives with
 the integer-coded columnar view (:mod:`repro.core.columnar`) already
-built, which the signature, compatibility, and sketching hot paths then
-consume directly (see ``docs/COLUMNAR.md``).
+built, which the compatibility and fingerprinting hot paths then consume
+directly (see ``docs/COLUMNAR.md``).  Signatures and sketches are built
+from the tuple objects.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ from .runtime.anytime import DEFAULT_ANYTIME_NODE_BUDGET
 from .runtime.budget import DEFAULT_CHECK_INTERVAL
 from .scoring.match_score import score_match
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 
 def compare(

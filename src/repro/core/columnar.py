@@ -21,8 +21,8 @@ algorithms would treat them as the same value.  Cells whose value is ``==``
 to the code's representative but not reconstructible from it (e.g. ``1``
 vs ``1.0``, ``-0.0`` vs ``0.0``) are recorded in a sparse per-relation
 ``overrides`` map so :meth:`ColumnarInstance.to_instance` is always exact;
-type-sensitive consumers (sketch tokens, fingerprints) fall back to the
-object path when overrides exist.
+the one type-sensitive consumer, the content fingerprint, falls back to
+the object path when overrides exist.
 
 The view is built once per instance and cached on it
 (:meth:`repro.core.instance.Instance.columns`); ``to_instance`` goes the

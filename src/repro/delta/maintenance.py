@@ -1,27 +1,29 @@
 """Incremental sketch and min-hash maintenance under a delta batch.
 
-:class:`SketchMaintainer` keeps the live state behind an
-:class:`~repro.index.sketch.InstanceSketch` — per-column constant
-multisets, null counts, and the count-tracked token multiset feeding the
-min-hash signature — and repairs it in ``O(|batch|)`` instead of
-re-sketching the whole instance:
+:class:`SketchMaintainer` keeps the :class:`~repro.index.sketch.SketchScan`
+behind an :class:`~repro.index.sketch.InstanceSketch` alive — per-column
+constant multisets, null counts, and the count-tracked token multiset
+feeding the min-hash signature — and repairs it in ``O(|batch|)`` instead
+of re-sketching the whole instance:
 
 * **inserts** admit their cell tokens and min-merge the new token hashes
   into the signature slot-by-slot;
 * **deletes** retire tokens from the per-base occurrence counters.  A
   retired hash only *dirties* a signature slot when its permuted value
   equals the slot's current minimum; only dirty slots are recomputed,
-  over the surviving distinct hash set kept in ``_hash_counts`` — never
-  by rescanning the instance;
+  over the surviving distinct hash set the scan keeps — never by
+  rescanning the instance;
 * **updates** retire the old cells and admit the new ones (cells whose
   value is unchanged are skipped).
 
-The maintained sketch is byte-identical to a cold
+The seed is the same scan a cold
 :meth:`InstanceSketch.build <repro.index.sketch.InstanceSketch.build>`
-of the post-batch instance (property-tested in
-``tests/delta/test_maintenance.py``): column state is exact arithmetic
-on counts, and the min-hash repair recomputes exactly the slots whose
-minimum could have moved.
+freezes, so the cold build stays an independent oracle for
+:meth:`~SketchMaintainer.apply`: after any chain of batches the maintained
+sketch is byte-identical to a cold build of the post-batch instance
+(property-tested in ``tests/delta/test_maintenance.py``).  Column state is
+exact arithmetic on counts, and the min-hash repair recomputes exactly the
+slots whose minimum could have moved.
 
 ``track_minhash=False`` runs a *light* maintainer that keeps only the
 column statistics — enough for
@@ -36,17 +38,13 @@ from dataclasses import dataclass
 
 from ..core.errors import DeltaError
 from ..core.instance import Instance
-from ..core.values import is_null
 from ..index.sketch import (
     EMPTY_SLOT,
     _MERSENNE_PRIME,
-    ColumnSketch,
     IndexParams,
     InstanceSketch,
-    RelationSketch,
-    _constant_token,
+    SketchScan,
     _minhash,
-    stable_hash64,
 )
 from ..parallel.cache import instance_fingerprint
 from .batch import OP_DELETE, OP_INSERT, OP_UPDATE, DeltaBatch
@@ -80,36 +78,14 @@ class SketchRepair:
         return len(self.columns_touched)
 
 
-class _ColumnState:
-    """Mutable counterpart of :class:`ColumnSketch`."""
-
-    __slots__ = ("constants", "nulls")
-
-    def __init__(self) -> None:
-        self.constants: dict[int, int] = {}
-        self.nulls = 0
-
-
-class _RelationState:
-    """Mutable counterpart of :class:`RelationSketch`."""
-
-    __slots__ = ("attributes", "tuple_count", "columns")
-
-    def __init__(self, attributes: tuple[str, ...]) -> None:
-        self.attributes = attributes
-        self.tuple_count = 0
-        self.columns: dict[str, _ColumnState] = {
-            a: _ColumnState() for a in attributes
-        }
-
-
 class SketchMaintainer:
     """Live, incrementally-maintained sketch state for one instance.
 
     Parameters
     ----------
     instance:
-        The base instance; one pass over its cells seeds the state.
+        The base instance; one :class:`~repro.index.sketch.SketchScan`
+        of its cells seeds the state.
     params:
         Sketch parameters (fixed for the maintainer's lifetime).
     track_minhash:
@@ -127,28 +103,16 @@ class SketchMaintainer:
     ) -> None:
         self._params = params
         self._track_minhash = track_minhash
-        self._touched: dict[int, int] | None = None
         self._coefficients = params.coefficients() if track_minhash else ()
-        self._relations: dict[str, _RelationState] = {}
-        self._base_counts: dict[str, int] = {}
-        self._hash_counts: dict[int, int] = {}
-        self._token_count = 0
-        self._minhash: list[int] = []
-        # Cache of (type, value) -> (encoded token, stable hash): constant
-        # columns repeat values, and blake2b per cell is the dominant cost.
-        self._token_cache: dict[tuple, tuple[str, int]] = {}
-        for relation in instance.relations():
-            rel_name = relation.schema.name
-            state = _RelationState(relation.schema.attributes)
-            self._relations[rel_name] = state
-            for t in relation:
-                state.tuple_count += 1
-                for attribute, value in zip(state.attributes, t.values):
-                    self._admit(rel_name, state.columns[attribute], attribute, value)
-        if track_minhash:
-            self._minhash = list(
-                _minhash(list(self._hash_counts), params)
-            )
+        self._scan = SketchScan(instance, tokens=track_minhash)
+        # Token hash -> its count before the batch, for hashes the running
+        # apply() touched.
+        self._touched: dict[int, int] = {}
+        self._minhash: list[int] = (
+            list(_minhash(self._scan.hash_counts.keys(), params))
+            if track_minhash
+            else []
+        )
 
     @property
     def params(self) -> IndexParams:
@@ -160,88 +124,19 @@ class SketchMaintainer:
 
     @property
     def token_count(self) -> int:
-        return self._token_count
+        return self._scan.cell_count
 
     # -- cell admission / retirement ---------------------------------------
 
-    def _token_key(self, value) -> tuple[str, int]:
-        try:
-            cache_key = (type(value), value)
-            cached = self._token_cache.get(cache_key)
-        except TypeError:  # unhashable constant: encode without caching
-            encoded = _constant_token(value)
-            return encoded, stable_hash64(encoded)
-        if cached is None:
-            encoded = _constant_token(value)
-            cached = (encoded, stable_hash64(encoded))
-            self._token_cache[cache_key] = cached
-        return cached
+    def _admit(self, column, value) -> None:
+        h = self._scan.admit(column, value)
+        if h is not None and h not in self._touched:
+            self._touched[h] = self._scan.hash_counts[h] - 1
 
-    def _admit(self, rel_name: str, column: _ColumnState, attribute: str, value) -> None:
-        if is_null(value):
-            column.nulls += 1
-            base = f"{rel_name}\x1f{attribute}\x1fN"
-        else:
-            encoded, key = self._token_key(value)
-            column.constants[key] = column.constants.get(key, 0) + 1
-            base = f"{rel_name}\x1f{attribute}\x1fC\x1f{encoded}"
-        self._token_count += 1
-        if not self._track_minhash:
-            return
-        occurrence = self._base_counts.get(base, 0)
-        self._base_counts[base] = occurrence + 1
-        h = stable_hash64(f"{base}\x1f{occurrence}")
-        before = self._hash_counts.get(h, 0)
-        self._hash_counts[h] = before + 1
-        touched = self._touched
-        if touched is not None and h not in touched:
-            touched[h] = before
-
-    def _retire(self, rel_name: str, column: _ColumnState, attribute: str, value) -> None:
-        if is_null(value):
-            if column.nulls <= 0:
-                raise DeltaError(
-                    f"retiring a null from empty column "
-                    f"{rel_name}.{attribute}"
-                )
-            column.nulls -= 1
-            base = f"{rel_name}\x1f{attribute}\x1fN"
-        else:
-            encoded, key = self._token_key(value)
-            count = column.constants.get(key, 0)
-            if count <= 0:
-                raise DeltaError(
-                    f"retiring constant {value!r} absent from column "
-                    f"{rel_name}.{attribute}"
-                )
-            if count == 1:
-                del column.constants[key]
-            else:
-                column.constants[key] = count - 1
-            base = f"{rel_name}\x1f{attribute}\x1fC\x1f{encoded}"
-        self._token_count -= 1
-        if not self._track_minhash:
-            return
-        occurrence = self._base_counts.get(base, 0) - 1
-        if occurrence < 0:
-            raise DeltaError(f"retiring token with no occurrences: {base!r}")
-        if occurrence == 0:
-            del self._base_counts[base]
-        else:
-            self._base_counts[base] = occurrence
-        # Multiset tokens are indexed by occurrence, so removing one
-        # occurrence of a base always retires the *last* index.
-        h = stable_hash64(f"{base}\x1f{occurrence}")
-        before = self._hash_counts.get(h, 0)
-        if before <= 0:
-            raise DeltaError(f"retiring unknown token hash for base {base!r}")
-        if before == 1:
-            del self._hash_counts[h]
-        else:
-            self._hash_counts[h] = before - 1
-        touched = self._touched
-        if touched is not None and h not in touched:
-            touched[h] = before
+    def _retire(self, column, value) -> None:
+        h = self._scan.retire(column, value)
+        if h is not None and h not in self._touched:
+            self._touched[h] = self._scan.hash_counts.get(h, 0) + 1
 
     # -- batch application --------------------------------------------------
 
@@ -266,58 +161,55 @@ class SketchMaintainer:
                 "apply(fingerprint=True) needs the post-batch instance"
             )
         prev_minhash = tuple(self._minhash)
-        self._touched = touched = {} if self._track_minhash else None
+        self._touched = touched = {}
         columns_touched: set[tuple[str, str]] = set()
-        try:
-            for op in batch:
-                state = self._relations.get(op.relation)
-                if state is None:
+        for op in batch:
+            state = self._scan.relations.get(op.relation)
+            if state is None:
+                raise DeltaError(
+                    f"batch touches relation {op.relation!r} unknown to "
+                    "the maintained sketch"
+                )
+            attributes = state.attributes
+            if op.kind == OP_INSERT:
+                self._check_arity(op, len(op.values), len(attributes))
+                state.tuple_count += 1
+                for attribute, value in zip(attributes, op.values):
+                    self._admit(state.columns[attribute], value)
+                    columns_touched.add((op.relation, attribute))
+            elif op.kind == OP_DELETE:
+                self._check_arity(op, len(op.old_values), len(attributes))
+                state.tuple_count -= 1
+                if state.tuple_count < 0:
                     raise DeltaError(
-                        f"batch touches relation {op.relation!r} unknown to "
-                        "the maintained sketch"
+                        f"delete from empty relation {op.relation!r}"
                     )
-                attributes = state.attributes
-                if op.kind == OP_INSERT:
-                    self._check_arity(op, len(op.values), len(attributes))
-                    state.tuple_count += 1
-                    for attribute, value in zip(attributes, op.values):
-                        self._admit(op.relation, state.columns[attribute], attribute, value)
-                        columns_touched.add((op.relation, attribute))
-                elif op.kind == OP_DELETE:
-                    self._check_arity(op, len(op.old_values), len(attributes))
-                    state.tuple_count -= 1
-                    if state.tuple_count < 0:
-                        raise DeltaError(
-                            f"delete from empty relation {op.relation!r}"
-                        )
-                    for attribute, value in zip(attributes, op.old_values):
-                        self._retire(op.relation, state.columns[attribute], attribute, value)
-                        columns_touched.add((op.relation, attribute))
-                else:
-                    self._check_arity(op, len(op.values), len(attributes))
-                    self._check_arity(op, len(op.old_values), len(attributes))
-                    for attribute, old_value, new_value in zip(
-                        attributes, op.old_values, op.values
+                for attribute, value in zip(attributes, op.old_values):
+                    self._retire(state.columns[attribute], value)
+                    columns_touched.add((op.relation, attribute))
+            else:
+                self._check_arity(op, len(op.values), len(attributes))
+                self._check_arity(op, len(op.old_values), len(attributes))
+                for attribute, old_value, new_value in zip(
+                    attributes, op.old_values, op.values
+                ):
+                    if type(old_value) is type(new_value) and (
+                        old_value is new_value or old_value == new_value
                     ):
-                        if type(old_value) is type(new_value) and (
-                            old_value is new_value or old_value == new_value
-                        ):
-                            continue
-                        column = state.columns[attribute]
-                        self._retire(op.relation, column, attribute, old_value)
-                        self._admit(op.relation, column, attribute, new_value)
-                        columns_touched.add((op.relation, attribute))
-        finally:
-            self._touched = None
+                        continue
+                    column = state.columns[attribute]
+                    self._retire(column, old_value)
+                    self._admit(column, new_value)
+                    columns_touched.add((op.relation, attribute))
+        hash_counts = self._scan.hash_counts
         added: list[int] = []
         removed: list[int] = []
-        if touched is not None:
-            for h, before in touched.items():
-                after = self._hash_counts.get(h, 0)
-                if before == 0 and after > 0:
-                    added.append(h)
-                elif before > 0 and after == 0:
-                    removed.append(h)
+        for h, before in touched.items():
+            after = hash_counts.get(h, 0)
+            if before == 0 and after > 0:
+                added.append(h)
+            elif before > 0 and after == 0:
+                removed.append(h)
         patched, rebuilt, full_rebuild = self._repair_minhash(
             prev_minhash, added, removed
         )
@@ -356,7 +248,8 @@ class SketchMaintainer:
             return 0, 0, False
         params = self._params
         num_perms = params.num_perms
-        if not self._hash_counts:
+        hash_counts = self._scan.hash_counts
+        if not hash_counts:
             self._minhash = [EMPTY_SLOT] * num_perms
             return num_perms, 0, False
         coefficients = self._coefficients
@@ -371,14 +264,14 @@ class SketchMaintainer:
         if dirty and len(dirty) >= max(
             1, int(num_perms * _FULL_RECOMPUTE_DIRTY_FRACTION)
         ):
-            self._minhash = list(_minhash(list(self._hash_counts), params))
+            self._minhash = list(_minhash(hash_counts.keys(), params))
             return num_perms - len(dirty), len(dirty), True
         signature = list(prev)
         if added:
             added_min = _minhash(added, params)
             signature = [min(s, v) for s, v in zip(signature, added_min)]
         if dirty:
-            survivors = list(self._hash_counts)
+            survivors = list(hash_counts)
             for i in dirty:
                 a, b = coefficients[i]
                 signature[i] = min(
@@ -390,31 +283,9 @@ class SketchMaintainer:
     # -- materialization -----------------------------------------------------
 
     def materialize(self, *, fingerprint: str = "") -> InstanceSketch:
-        """Freeze the current state into an :class:`InstanceSketch`.
-
-        Dictionaries are copied so later maintenance never mutates a
-        sketch already handed out (sketches are shared with the LSH index
-        and the store).
-        """
-        relations: dict[str, RelationSketch] = {}
-        for rel_name, state in self._relations.items():
-            relations[rel_name] = RelationSketch(
-                name=rel_name,
-                attributes=state.attributes,
-                tuple_count=state.tuple_count,
-                columns={
-                    attribute: ColumnSketch(
-                        constants=dict(column.constants),
-                        null_count=column.nulls,
-                    )
-                    for attribute, column in state.columns.items()
-                },
-            )
-        return InstanceSketch(
-            fingerprint=fingerprint,
-            relations=relations,
-            minhash=tuple(self._minhash) if self._track_minhash else (),
-            token_count=self._token_count,
+        """Freeze the current state into an :class:`InstanceSketch`."""
+        return self._scan.freeze(
+            tuple(self._minhash) if self._track_minhash else (), fingerprint
         )
 
     def sketch_for(self, instance: Instance) -> InstanceSketch:

@@ -77,8 +77,6 @@ class SimilarityIndex:
         params: IndexParams | None = None,
         options: MatchOptions | None = None,
         cache: SignatureCache | None = None,
-        *,
-        delta_maintenance: bool = True,
     ) -> None:
         self.params = params if params is not None else IndexParams()
         self.options = (
@@ -86,7 +84,6 @@ class SimilarityIndex:
         )
         self.cache = cache if cache is not None else SignatureCache()
         self.lsh = LSHIndex(self.params)
-        self.delta_maintenance = delta_maintenance
         self._instances: dict[str, Instance] = {}
         self._sketches: dict[str, InstanceSketch] = {}
         self._maintainers: dict[str, SketchMaintainer] = {}
@@ -99,20 +96,15 @@ class SimilarityIndex:
     def add(self, name: str, instance: Instance) -> UpdateReport:
         """Register ``instance`` under ``name``; sketches and persists it.
 
-        With ``delta_maintenance`` on (the default) the table is seeded
-        into a live :class:`~repro.delta.SketchMaintainer`, so later
-        ``update``/``update_delta`` calls repair the sketch instead of
-        re-sketching.  Returns an :class:`~repro.delta.UpdateReport` with
-        ``mode == "added"`` (the new sketch rides on ``report.sketch``).
+        The table's sketch is the seed of a live
+        :class:`~repro.delta.SketchMaintainer`, so later ``update``/
+        ``update_delta`` calls repair it instead of re-sketching.  Returns
+        an :class:`~repro.delta.UpdateReport` with ``mode == "added"``
+        (the new sketch rides on ``report.sketch``).
         """
         if name in self._instances:
             raise ValueError(f"table {name!r} already in the index")
-        if self.delta_maintenance:
-            maintainer = SketchMaintainer(instance, self.params)
-            sketch = maintainer.sketch_for(instance)
-            self._maintainers[name] = maintainer
-        else:
-            sketch = InstanceSketch.build(instance, self.params)
+        sketch = self._seed(name, instance)
         self._instances[name] = instance
         self._sketches[name] = sketch
         self.lsh.add(name, sketch.minhash)
@@ -146,21 +138,18 @@ class SimilarityIndex:
         single upsert log record, so a crash mid-update recovers to the
         old instance or the new one — never to the table missing.
 
-        With ``delta_maintenance`` on and an unchanged schema, the
-        replacement is diffed into a :class:`~repro.delta.DeltaBatch` and
-        maintained incrementally (``mode == "incremental"``): sketch
-        columns are repaired token-by-token, min-hash slots patched or
-        selectively recomputed, and only the changed LSH band buckets are
-        touched.  A table restored from disk seeds its maintainer lazily
-        here.  Schema changes (or ``delta_maintenance=False``) re-sketch
-        the table instead (``"rebuilt"``).
+        With an unchanged schema, the replacement is diffed into a
+        :class:`~repro.delta.DeltaBatch` and maintained incrementally
+        (``mode == "incremental"``): sketch columns are repaired
+        token-by-token, min-hash slots patched or selectively recomputed,
+        and only the changed LSH band buckets are touched.  A table
+        restored from disk seeds its maintainer lazily here.  A schema
+        change re-sketches the table instead (``"rebuilt"``).
         """
         if name not in self._instances:
             raise KeyError(self._unknown(name))
         old = self._instances[name]
-        if self.delta_maintenance and old.schema.is_compatible_with(
-            instance.schema
-        ):
+        if old.schema.is_compatible_with(instance.schema):
             maintainer = self._maintainers.get(name)
             if maintainer is None:
                 # Store-restored tables skip seeding until the first
@@ -224,14 +213,15 @@ class SimilarityIndex:
         self.last_update = report
         return report
 
+    def _seed(self, name: str, instance: Instance) -> InstanceSketch:
+        """Seed a fresh maintainer for ``name``; returns its sketch."""
+        maintainer = SketchMaintainer(instance, self.params)
+        self._maintainers[name] = maintainer
+        return maintainer.sketch_for(instance)
+
     def _rebuild(self, name: str, instance: Instance) -> UpdateReport:
-        """Full re-sketch fallback (schema change / no maintainer)."""
-        if self.delta_maintenance:
-            maintainer = SketchMaintainer(instance, self.params)
-            sketch = maintainer.sketch_for(instance)
-            self._maintainers[name] = maintainer
-        else:
-            sketch = InstanceSketch.build(instance, self.params)
+        """Full re-sketch fallback after a schema change."""
+        sketch = self._seed(name, instance)
         self._instances[name] = instance
         self._sketches[name] = sketch
         self.lsh.remove(name)

@@ -5,10 +5,13 @@ built once when the instance enters the index and reused for every query:
 
 * **column summaries** — per ``(relation, attribute)``, the multiset of
   constant values (stored as stable 64-bit hashes with counts) plus the
-  number of null cells.  These drive :func:`similarity_upper_bound`, an
-  **admissible** upper bound on the paper's instance-similarity score:
-  the bound never under-estimates, so pruning a candidate whose bound is
-  below the current top-k floor can never drop a true hit;
+  number of null cells.  A constant's hash is taken over its spelling
+  (:func:`_constant_token`), and constants that compare equal spell
+  equally, so the summaries see the equalities the matcher sees.  These
+  drive :func:`similarity_upper_bound`, an **admissible** upper bound on
+  the paper's instance-similarity score: the bound never
+  under-estimates, so pruning a candidate whose bound is below the
+  current top-k floor can never drop a true hit;
 * **min-hash signature** — over the instance's null-aware token multiset
   (one token per cell, constants by value, nulls by position only — null
   *labels* never enter a token, mirroring how the Alg. 4 signatures ignore
@@ -29,15 +32,22 @@ options the bound tightens to multiset intersections and a
 ``min(|I|,|I'|)·arity`` cap per relation, both of which still dominate any
 1:1 match.  ``tests/properties/test_sketch_bound.py`` checks the inequality
 on random perturbed instances.
+
+One cell scan (:class:`SketchScan`) computes all of it, once per instance:
+:meth:`InstanceSketch.build` freezes a fresh scan, and
+:class:`~repro.delta.SketchMaintainer` keeps one alive and edits it under
+delta batches.
 """
 
 from __future__ import annotations
 
 import hashlib
+import numbers
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 
-from ..core.errors import FormatError
+from ..core.errors import DeltaError, FormatError
 from ..core.instance import Instance
 from ..core.values import is_null
 from ..mappings.constraints import MatchOptions
@@ -47,9 +57,6 @@ try:  # pragma: no cover - exercised through both lanes
     import numpy as _np
 except Exception:  # pragma: no cover - numpy genuinely absent
     _np = None
-
-_COLUMNAR_MIN_CELLS = 4096
-"""Build the columnar view for sketching above this many cells."""
 
 _NUMPY_MIN_TOKENS = 256
 """Below this many distinct tokens the pure min-hash loop wins."""
@@ -170,8 +177,214 @@ class RelationSketch:
 
 
 def _constant_token(value) -> str:
-    """Identity-preserving encoding of a constant (type + repr)."""
-    return f"{type(value).__name__}:{value!r}"
+    """The spelling of a constant in column keys and tokens.
+
+    The matcher compares cells with ``==``, so constants that compare
+    equal must spell equally, or the bound would count them absent from
+    each other's column.  Numbers therefore spell by their exact value:
+    an integral number reads ``int:N`` whatever its type (``True``,
+    ``1.0`` and ``Decimal("1")`` all read ``int:1``; ``-0.0`` reads
+    ``int:0``), a number some float equals reads as that float
+    (``Fraction(1, 2)`` reads ``float:0.5``), and any other rational reads
+    ``Fraction:n/d``.  Strings, ints and non-integral floats take the fast
+    path; other values spell by type and repr.
+    """
+    kind = type(value)
+    if kind is str or kind is int or (kind is float and not value.is_integer()):
+        return f"{kind.__name__}:{value!r}"
+    if not isinstance(value, numbers.Number):
+        return f"{kind.__name__}:{value!r}"
+    if isinstance(value, complex) and not value.imag:
+        value = value.real
+    try:
+        exact = Fraction(value)
+    except (TypeError, ValueError, OverflowError):
+        try:  # infinities and NaNs equal floats only
+            return f"float:{float(value)!r}"
+        except (TypeError, ValueError):
+            return f"{kind.__name__}:{value!r}"
+    if exact.denominator == 1:
+        return f"int:{exact.numerator}"
+    if abs(exact) < 2**53 and float(exact) == exact:
+        return f"float:{float(exact)!r}"
+    return f"Fraction:{exact.numerator}/{exact.denominator}"
+
+
+def _token_hash(base: str, occurrence: int) -> int:
+    """Hash of the token ``base␟occurrence``: a cell's base and how many
+    earlier cells of the instance share it (multiset semantics)."""
+    return stable_hash64(f"{base}\x1f{occurrence}")
+
+
+class _ColumnScan:
+    """Live state of one column: constant multiset, null count, token bases.
+
+    A cell's token base is ``rel␟attr␟N`` for a null and
+    ``rel␟attr␟C␟<constant>`` for a constant (``␟`` is ``\\x1f``).
+    """
+
+    __slots__ = ("name", "constants", "nulls", "null_base", "constant_prefix")
+
+    def __init__(self, relation: str, attribute: str) -> None:
+        self.name = f"{relation}.{attribute}"
+        self.constants: dict[int, int] = {}
+        self.nulls = 0
+        self.null_base = f"{relation}\x1f{attribute}\x1fN"
+        self.constant_prefix = f"{relation}\x1f{attribute}\x1fC\x1f"
+
+
+class _RelationScan:
+    """Live state of one relation: its shape plus one column per attribute."""
+
+    __slots__ = ("attributes", "tuple_count", "columns")
+
+    def __init__(self, relation: str, attributes: tuple[str, ...]) -> None:
+        self.attributes = attributes
+        self.tuple_count = 0
+        self.columns = {a: _ColumnScan(relation, a) for a in attributes}
+
+
+class SketchScan:
+    """One pass over an instance's cells, kept as editable per-column state.
+
+    Per column the scan records the constant multiset, keyed by the
+    :func:`stable_hash64` of each constant's :func:`_constant_token`, and
+    the null count.  With ``tokens`` it also records each token base's
+    occurrence count and the multiset of token hashes the min-hash
+    signature is taken over.  Tokens are multiset elements: the k-th
+    occurrence of a base is its own token, so duplicated rows shift the
+    Jaccard estimate instead of collapsing.
+
+    :meth:`admit` and :meth:`retire` count one cell in or out and return
+    its token hash; :meth:`freeze` copies the state into an
+    :class:`InstanceSketch`.
+    """
+
+    def __init__(self, instance: Instance, *, tokens: bool) -> None:
+        self.tokens = tokens
+        self.relations: dict[str, _RelationScan] = {}
+        self.base_counts: dict[str, int] = {}
+        self.hash_counts: dict[int, int] = {}
+        self.cell_count = 0
+        # (type, constant) -> (spelling, key): columns repeat values, and
+        # blake2b per cell is the dominant cost.
+        self._encoded: dict[tuple, tuple[str, int]] = {}
+        admit = self.admit
+        for relation in instance.relations():
+            name = relation.schema.name
+            state = _RelationScan(name, relation.schema.attributes)
+            self.relations[name] = state
+            columns = tuple(state.columns.values())
+            for t in relation:
+                state.tuple_count += 1
+                for column, value in zip(columns, t.values):
+                    admit(column, value)
+
+    def _encode(self, value) -> tuple[str, int]:
+        try:
+            cache_key = (type(value), value)
+            cached = self._encoded.get(cache_key)
+        except TypeError:  # unhashable constant: encode without caching
+            encoded = _constant_token(value)
+            return encoded, stable_hash64(encoded)
+        if cached is None:
+            encoded = _constant_token(value)
+            cached = self._encoded[cache_key] = (encoded, stable_hash64(encoded))
+        return cached
+
+    def admit(self, column: _ColumnScan, value) -> int | None:
+        """Count one cell in; returns its token hash (``None`` without tokens)."""
+        self.cell_count += 1
+        if is_null(value):
+            column.nulls += 1
+            if not self.tokens:
+                return None
+            base = column.null_base
+        else:
+            encoded, key = self._encode(value)
+            constants = column.constants
+            constants[key] = constants.get(key, 0) + 1
+            if not self.tokens:
+                return None
+            base = column.constant_prefix + encoded
+        occurrence = self.base_counts.get(base, 0)
+        self.base_counts[base] = occurrence + 1
+        h = _token_hash(base, occurrence)
+        self.hash_counts[h] = self.hash_counts.get(h, 0) + 1
+        return h
+
+    def retire(self, column: _ColumnScan, value) -> int | None:
+        """Count one cell out, the inverse of :meth:`admit`.
+
+        Raises :class:`~repro.core.errors.DeltaError` when the column
+        does not hold the cell.
+        """
+        if is_null(value):
+            if column.nulls <= 0:
+                raise DeltaError(f"retiring a null from empty column {column.name}")
+            column.nulls -= 1
+            base = column.null_base
+        else:
+            encoded, key = self._encode(value)
+            count = column.constants.get(key, 0)
+            if count <= 0:
+                raise DeltaError(
+                    f"retiring constant {value!r} absent from column {column.name}"
+                )
+            if count == 1:
+                del column.constants[key]
+            else:
+                column.constants[key] = count - 1
+            base = column.constant_prefix + encoded
+        self.cell_count -= 1
+        if not self.tokens:
+            return None
+        # Tokens are indexed by occurrence, so removing one occurrence of
+        # a base always retires its *last* index.
+        occurrence = self.base_counts.get(base, 0) - 1
+        if occurrence < 0:
+            raise DeltaError(f"retiring token with no occurrences: {base!r}")
+        if occurrence == 0:
+            del self.base_counts[base]
+        else:
+            self.base_counts[base] = occurrence
+        h = _token_hash(base, occurrence)
+        before = self.hash_counts.get(h, 0)
+        if before <= 0:
+            raise DeltaError(f"retiring unknown token hash for base {base!r}")
+        if before == 1:
+            del self.hash_counts[h]
+        else:
+            self.hash_counts[h] = before - 1
+        return h
+
+    def freeze(self, minhash: tuple[int, ...], fingerprint: str) -> "InstanceSketch":
+        """Copy the current state into an :class:`InstanceSketch`.
+
+        Dictionaries are copied, so editing the scan later never mutates a
+        sketch already handed out (sketches are shared with the LSH index
+        and the store).
+        """
+        return InstanceSketch(
+            fingerprint=fingerprint,
+            relations={
+                name: RelationSketch(
+                    name=name,
+                    attributes=state.attributes,
+                    tuple_count=state.tuple_count,
+                    columns={
+                        attribute: ColumnSketch(
+                            constants=dict(column.constants),
+                            null_count=column.nulls,
+                        )
+                        for attribute, column in state.columns.items()
+                    },
+                )
+                for name, state in self.relations.items()
+            },
+            minhash=minhash,
+            token_count=self.cell_count,
+        )
 
 
 @dataclass(frozen=True)
@@ -194,155 +407,23 @@ class InstanceSketch:
     def build(cls, instance: Instance, params: IndexParams) -> "InstanceSketch":
         """Sketch ``instance`` under ``params`` (deterministic).
 
-        Uses the columnar lane (per-code token aggregation over the
-        :meth:`~repro.core.instance.Instance.columns` view) when the view
-        is already cached or the instance is large enough to warrant
-        building it; both lanes produce identical sketches
-        (property-tested).  Cells the codes cannot reconstruct exactly
-        (``ColumnarInstance.overrides``) force the object lane, since
-        tokens are type-and-repr sensitive.
+        One :class:`SketchScan` over the cells, frozen with the min-hash
+        signature of its token multiset.
         """
-        view = instance._columnar
-        if view is None and _cell_estimate(instance) >= _COLUMNAR_MIN_CELLS:
-            view = instance.columns()
-        if view is not None and not view.overrides:
-            return cls._build_columnar(instance, view, params)
-        return cls._build_object(instance, params)
-
-    @classmethod
-    def _build_columnar(cls, instance, view, params) -> "InstanceSketch":
-        """One pass per column over code arrays, tokens per distinct code."""
-        relations: dict[str, RelationSketch] = {}
-        token_hashes: list[int] = []
-        decode = view.decode
-        token_cache: dict[int, tuple[str, int]] = {}
-        for rel_name, crel in view.relations.items():
-            attributes = crel.schema.attributes
-            columns_out: dict[str, ColumnSketch] = {}
-            for position, attribute in enumerate(attributes):
-                counts = _code_counts(crel.columns[position])
-                constants: dict[int, int] = {}
-                null_total = 0
-                per_base: dict[str, int] = {}
-                for code, count in counts:
-                    if code < 0:
-                        null_total += count
-                        continue
-                    cached = token_cache.get(code)
-                    if cached is None:
-                        encoded = _constant_token(decode[code])
-                        cached = (encoded, stable_hash64(encoded))
-                        token_cache[code] = cached
-                    encoded, key = cached
-                    constants[key] = constants.get(key, 0) + count
-                    base = f"{rel_name}\x1f{attribute}\x1fC\x1f{encoded}"
-                    per_base[base] = per_base.get(base, 0) + count
-                if null_total:
-                    per_base[f"{rel_name}\x1f{attribute}\x1fN"] = null_total
-                for base, count in per_base.items():
-                    token_hashes.extend(
-                        stable_hash64(f"{base}\x1f{occurrence}")
-                        for occurrence in range(count)
-                    )
-                columns_out[attribute] = ColumnSketch(
-                    constants=constants, null_count=null_total
-                )
-            relations[rel_name] = RelationSketch(
-                name=rel_name,
-                attributes=attributes,
-                tuple_count=crel.n_rows,
-                columns=columns_out,
-            )
-        return cls(
-            fingerprint=instance_fingerprint(instance),
-            relations=relations,
-            minhash=_minhash(token_hashes, params),
-            token_count=len(token_hashes),
-        )
-
-    @classmethod
-    def _build_object(
-        cls, instance: Instance, params: IndexParams
-    ) -> "InstanceSketch":
-        relations: dict[str, RelationSketch] = {}
-        token_hashes: list[int] = []
-        for relation in instance.relations():
-            rel_name = relation.schema.name
-            attributes = relation.schema.attributes
-            columns: dict[str, dict] = {
-                a: {"constants": {}, "nulls": 0} for a in attributes
-            }
-            occurrences: dict[str, int] = {}
-            count = 0
-            for t in relation:
-                count += 1
-                for attribute, value in zip(attributes, t.values):
-                    column = columns[attribute]
-                    if is_null(value):
-                        column["nulls"] += 1
-                        base = f"{rel_name}\x1f{attribute}\x1fN"
-                    else:
-                        encoded = _constant_token(value)
-                        key = stable_hash64(encoded)
-                        column["constants"][key] = (
-                            column["constants"].get(key, 0) + 1
-                        )
-                        base = f"{rel_name}\x1f{attribute}\x1fC\x1f{encoded}"
-                    # Multiset semantics: the k-th occurrence of a token is a
-                    # distinct element, so duplicated rows shift the Jaccard
-                    # estimate instead of collapsing.
-                    occurrence = occurrences.get(base, 0)
-                    occurrences[base] = occurrence + 1
-                    token_hashes.append(stable_hash64(f"{base}\x1f{occurrence}"))
-            relations[rel_name] = RelationSketch(
-                name=rel_name,
-                attributes=attributes,
-                tuple_count=count,
-                columns={
-                    a: ColumnSketch(
-                        constants=dict(columns[a]["constants"]),
-                        null_count=columns[a]["nulls"],
-                    )
-                    for a in attributes
-                },
-            )
-        return cls(
-            fingerprint=instance_fingerprint(instance),
-            relations=relations,
-            minhash=_minhash(token_hashes, params),
-            token_count=len(token_hashes),
+        scan = SketchScan(instance, tokens=True)
+        return scan.freeze(
+            _minhash(scan.hash_counts.keys(), params),
+            instance_fingerprint(instance),
         )
 
     def relation_names(self) -> frozenset[str]:
         return frozenset(self.relations)
 
 
-def _cell_estimate(instance: Instance) -> int:
-    """Cell count of an instance without touching any cell."""
-    return sum(
-        len(relation) * relation.schema.arity
-        for relation in instance.relations()
-    )
-
-
-def _code_counts(column) -> list[tuple[int, int]]:
-    """``(code, count)`` pairs of one code column (order irrelevant)."""
-    if _np is not None and len(column) >= _NUMPY_MIN_TOKENS:
-        codes, counts = _np.unique(
-            _np.frombuffer(column, dtype=_np.int64), return_counts=True
-        )
-        return list(zip(map(int, codes), map(int, counts)))
-    counts: dict[int, int] = {}
-    for code in column:
-        counts[code] = counts.get(code, 0) + 1
-    return list(counts.items())
-
-
-def _minhash(token_hashes: list[int], params: IndexParams) -> tuple[int, ...]:
-    """Min-hash signature of a token-hash multiset (set semantics on hashes)."""
-    if not token_hashes:
+def _minhash(distinct, params: IndexParams) -> tuple[int, ...]:
+    """Min-hash signature of a collection of distinct token hashes."""
+    if not distinct:
         return (EMPTY_SLOT,) * params.num_perms
-    distinct = set(token_hashes)
     if _np is not None and len(distinct) >= _NUMPY_MIN_TOKENS:
         return _minhash_numpy(distinct, params)
     signature = []
@@ -353,7 +434,7 @@ def _minhash(token_hashes: list[int], params: IndexParams) -> tuple[int, ...]:
     return tuple(signature)
 
 
-def _minhash_numpy(distinct: set[int], params: IndexParams) -> tuple[int, ...]:
+def _minhash_numpy(distinct, params: IndexParams) -> tuple[int, ...]:
     """Vectorized min-hash, bit-exact with the pure loop.
 
     ``(a*h + b) mod p`` with ``p = 2^61 - 1`` cannot be computed directly
@@ -596,6 +677,7 @@ __all__ = [
     "IndexParams",
     "InstanceSketch",
     "RelationSketch",
+    "SketchScan",
     "comparable",
     "estimated_jaccard",
     "similarity_upper_bound",

@@ -70,7 +70,8 @@ from .sketch import (
 from .wal import LogReader, SegmentWriter, segment_name
 
 FORMAT_NAME = "repro-index-store"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+"""Version 3 spells equal numbers alike in sketch keys; older stores are refused."""
 
 _MANIFEST = "manifest.json"
 _TABLES_DIR = "tables"

@@ -122,15 +122,6 @@ class TestUpdate:
             InstanceSketch.build(widened, PARAMS)
         )
 
-    def test_delta_maintenance_off_always_rebuilds(self, rng):
-        index = SimilarityIndex(params=PARAMS, delta_maintenance=False)
-        instance = rand_instance(rng, "r", "NR", 6)
-        index.add("t", instance)
-        assert index._maintainers == {}
-        new_instance = rand_batch(rng, instance, [0]).apply(instance)
-        report = index.update("t", new_instance)
-        assert report.mode == MODE_REBUILT
-
     def test_update_unknown_table_raises_keyerror(self, rng):
         index = SimilarityIndex(params=PARAMS)
         with pytest.raises(KeyError):

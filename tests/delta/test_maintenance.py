@@ -127,6 +127,23 @@ class TestEquivalence:
         sketch, _ = maintainer.apply(batch, new_instance)
         assert sketch_to_dict(sketch) == cold_dict(new_instance)
 
+    def test_signed_zeros_match_cold_build(self):
+        """``0.0 == -0.0``: both spell as one constant, so the maintainer's
+        constant cache cannot make its sketch differ from a cold build."""
+        instance = Instance.from_rows(
+            "R", ("A",), [(0.0,), (-0.0,), ("x",)], id_prefix="t"
+        )
+        maintainer = SketchMaintainer(instance, PARAMS)
+        assert maintained_dict(maintainer, instance) == cold_dict(instance)
+        batch = DeltaBatch([
+            TupleOp("delete", "R", "t1", old_values=(0.0,)),
+            TupleOp("insert", "R", "t4", values=(-0.0,)),
+            TupleOp("update", "R", "t3", values=(0.0,), old_values=("x",)),
+        ])
+        new_instance = batch.apply(instance)
+        sketch, _ = maintainer.apply(batch, new_instance)
+        assert sketch_to_dict(sketch) == cold_dict(new_instance)
+
 
 class TestLightMode:
     def test_column_stats_without_minhash(self, rng):

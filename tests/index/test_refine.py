@@ -72,6 +72,21 @@ class TestSearchExactness:
         assert hits == []
         assert report.refined == 0
 
+    def test_equal_numbers_of_different_types_are_not_pruned(self):
+        """``1`` and ``1.0`` compare equal, so the float table can win.
+
+        A bound that keyed constants by type would read 0.75 for the
+        float copy and prune it behind a 0.8 hit.
+        """
+        rows = [(i, f"s{i}") for i in range(1, 6)]
+        index = SimilarityIndex(params=PARAMS)
+        index.add("float", simple([(float(i), s) for i, s in rows]))
+        index.add("other", simple(rows[:4] + [(99, "zz")]))
+        query = simple(rows)
+        hits = index.search(query, top_k=1)
+        assert hits == brute_force_hits(index, query, top_k=1)
+        assert [(h.name, h.similarity) for h in hits] == [("float", 1.0)]
+
 
 class TestPruning:
     def test_early_termination_skips_low_bound_candidates(self):

@@ -1,14 +1,28 @@
 """Tests for per-instance sketches and the admissible similarity bound."""
 
+import hashlib
+import pickle
+from decimal import Decimal
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import FormatError
 from repro.core.instance import Instance, prepare_for_comparison
 from repro.core.values import LabeledNull
 from repro.algorithms.signature import signature_compare
+from repro.datagen.perturb import PerturbationConfig, perturb
+from repro.datagen.synthetic import generate_dataset
+from repro.datagen.tpch import generate_tpch
+from repro.index import sketch as sketch_module
 from repro.index.sketch import (
+    _MERSENNE_PRIME,
     IndexParams,
     InstanceSketch,
+    _constant_token,
+    _minhash,
+    _minhash_numpy,
     comparable,
     estimated_jaccard,
     similarity_upper_bound,
@@ -16,6 +30,7 @@ from repro.index.sketch import (
     sketch_to_dict,
     stable_hash64,
 )
+from repro.index.wal import encode_payload
 from repro.mappings.constraints import MatchOptions
 
 PARAMS = IndexParams(num_perms=32, bands=8, rows=4)
@@ -121,6 +136,31 @@ class TestSketchBuild:
         ints = InstanceSketch.build(simple([(1, 1)]), PARAMS)
         strs = InstanceSketch.build(simple([("1", "1")]), PARAMS)
         assert ints.minhash != strs.minhash
+
+
+class TestConstantSpelling:
+    """The matcher compares cells with ``==``, so equal numbers spell alike."""
+
+    @pytest.mark.parametrize(
+        "value, spelling",
+        [
+            ("1", "str:'1'"),
+            (7, "int:7"),
+            (2.5, "float:2.5"),
+            (True, "int:1"),
+            (1.0, "int:1"),
+            (Decimal("1"), "int:1"),
+            (-0.0, "int:0"),
+            (Fraction(1, 2), "float:0.5"),
+            (Decimal("0.5"), "float:0.5"),
+            (Decimal("0.1"), "Fraction:1/10"),
+            (Decimal("Infinity"), "float:inf"),
+            (complex(3, 0), "int:3"),
+            (None, "NoneType:None"),
+        ],
+    )
+    def test_spelling(self, value, spelling):
+        assert _constant_token(value) == spelling
 
 
 class TestJaccard:
@@ -248,3 +288,114 @@ class TestSerialization:
     def test_malformed_payload_rejected(self):
         with pytest.raises(FormatError, match="sketch payload"):
             sketch_from_dict({"fingerprint": "x"})
+
+
+# SHA-256 of the canonical bytes (:func:`repro.index.wal.encode_payload`)
+# of ``sketch_to_dict`` under the default params.  Stores and WAL records
+# persist exactly these bytes, so a changed digest is a store-format change.
+PINNED_DIGESTS = {
+    "bike": (
+        "b150860f44534b7edee882ed2d8e9632"
+        "321867cc9b2f34e12e9d238fc369e969"
+    ),
+    "bike-modcell5": (
+        "ff4dbc7f8256281daaa55d4418d03b6f"
+        "eeabb152e5ff53722b203cb615579b81"
+    ),
+    "bus": (
+        "128827489e941bf43f5b83a0464eeff7"
+        "4c654a74c9ab5e9ea29a4cd144df75dd"
+    ),
+    "bus-modcell5": (
+        "29775e34d472800b9bddd6cf6023cfff"
+        "33b97b30abe59387792f09ab7bc9b65b"
+    ),
+    "doct": (
+        "35cdc9a50624f8f2e172ff1fe097142d"
+        "61172cb9aa555b3bbf9f35f913182302"
+    ),
+    "doct-modcell5": (
+        "218131ee09e06f3557d84036a4e63a82"
+        "6ca5c9d5a386718f585682886f0d51dc"
+    ),
+    "git": (
+        "f7593ecae8c0ada7767d6aac603999a9"
+        "15a56bf8443b8e8bb0913982ef1147f2"
+    ),
+    "git-modcell5": (
+        "de94fb460d24231a06ad790646fabd9f"
+        "acadf346d630025cf8b118658e2c39be"
+    ),
+    "iris": (
+        "0739c220fc192d8f36652fd7dedbcedf"
+        "4afe8b15a75eedef28d0327fa6a2f2d8"
+    ),
+    "iris-modcell5": (
+        "7537716e40a067103a5d05c6051409ec"
+        "6c694597797e27423ad9c4e6a45f1512"
+    ),
+    "nba": (
+        "d6a9126088565d5ed884762916164899"
+        "c89b426d30af85cfec9b7b81fb42101f"
+    ),
+    "nba-modcell5": (
+        "497509bb048134b73170ea0e016d707d"
+        "6a1f97d80fd3ce59fb99159bcacd49ac"
+    ),
+    "tpch-customer": (
+        "47903e62603649feead4203eb0b93962"
+        "e67da29d343efb0d3de21434d6f337c6"
+    ),
+}
+
+
+def pinned_instance(key: str) -> Instance:
+    if key == "tpch-customer":
+        return generate_tpch(0.01, seed=7, tables=("customer",), null_rate=0.02)
+    profile, _, variant = key.partition("-")
+    instance = generate_dataset(profile, rows=60, seed=7)
+    if variant:
+        instance = perturb(
+            instance, PerturbationConfig.mod_cell(5.0, seed=7)
+        ).target
+    return instance
+
+
+class TestPersistedBytes:
+    @pytest.mark.parametrize("cached_view", [False, True])
+    @pytest.mark.parametrize("key", sorted(PINNED_DIGESTS))
+    def test_sketch_bytes_pinned(self, key, cached_view):
+        # Pickles never carry the columnar view, so the copy starts without.
+        instance = pickle.loads(pickle.dumps(pinned_instance(key)))
+        if cached_view:
+            instance.columns()
+        assert (instance._columnar is not None) == cached_view
+        payload = encode_payload(
+            sketch_to_dict(InstanceSketch.build(instance, IndexParams()))
+        )
+        assert hashlib.sha256(payload).hexdigest() == PINNED_DIGESTS[key]
+
+
+SPECIAL_HASHES = [
+    0, _MERSENNE_PRIME - 1, _MERSENNE_PRIME, _MERSENNE_PRIME + 1, 2**64 - 1
+]
+
+
+class TestMinhashLanes:
+    @pytest.mark.skipif(sketch_module._np is None, reason="needs numpy")
+    @given(
+        hashes=st.sets(
+            st.one_of(
+                st.sampled_from(SPECIAL_HASHES),
+                st.integers(min_value=0, max_value=2**64 - 1),
+            ),
+            min_size=1,
+            max_size=600,
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_numpy_lane_bit_exact_with_pure_loop(self, hashes):
+        vectorized = _minhash_numpy(hashes, PARAMS)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sketch_module, "_np", None)
+            assert _minhash(hashes, PARAMS) == vectorized

@@ -1,10 +1,10 @@
 """Property tests: the columnar hot paths are exact twins of the object model.
 
-Every pass the columnar engine rewrote — Alg. 2 compatible-tuple discovery,
-min-hash sketching, content fingerprinting — must produce results
-*identical* to the object-model implementation on any instance, nulls and
-all.  These properties are the contract that lets the dispatchers pick a
-lane purely on performance grounds.
+Every pass the columnar engine rewrote — Alg. 2 compatible-tuple discovery
+and content fingerprinting — must produce results *identical* to the
+object-model implementation on any instance, nulls and all.  These
+properties are the contract that lets the dispatchers pick a lane purely
+on performance grounds.
 """
 
 from __future__ import annotations
@@ -19,11 +19,9 @@ from repro.algorithms.compatibility import (
 from repro.core.instance import Instance, prepare_for_comparison
 from repro.core.schema import RelationSchema
 from repro.core.values import LabeledNull
-from repro.index.sketch import IndexParams, InstanceSketch
 from repro.parallel.cache import instance_fingerprint
 
 CONSTANTS = ["a", "b", "c", 1, 2, "z9"]
-PARAMS = IndexParams(num_perms=16, bands=4, rows=2)
 
 
 @st.composite
@@ -69,19 +67,6 @@ class TestCompatibilityEquivalence:
         actual = compatible_tuples_of_instances(left, right)
         assert actual == expected
         assert list(actual) == list(expected)  # same key order too
-
-
-class TestSketchEquivalence:
-    @given(inst=instance(max_rows=6))
-    @settings(max_examples=60, deadline=None)
-    def test_columnar_build_matches_object_build(self, inst):
-        view = inst.columns()
-        object_sketch = InstanceSketch._build_object(inst, PARAMS)
-        columnar_sketch = InstanceSketch._build_columnar(inst, view, PARAMS)
-        assert columnar_sketch.fingerprint == object_sketch.fingerprint
-        assert columnar_sketch.relations == object_sketch.relations
-        assert columnar_sketch.minhash == object_sketch.minhash
-        assert columnar_sketch.token_count == object_sketch.token_count
 
 
 class TestRoundTripIdentity:

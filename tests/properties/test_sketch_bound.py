@@ -27,7 +27,9 @@ from repro.mappings.constraints import MatchOptions
 from repro.versioning.operations import align_schemas
 
 PARAMS = IndexParams(num_perms=16, bands=4, rows=2)
-CONSTANTS = ["a", "b", "c", 1, 2]
+# 1, 1.0 and True compare equal, and so do 0.0 and -0.0: the bound must
+# see every equality the matcher sees.
+CONSTANTS = ["a", "b", "c", 1, 2, 1.0, True, 0.0, -0.0]
 OPTIONS = [MatchOptions.versioning(), MatchOptions.general()]
 
 
