@@ -25,9 +25,12 @@ scores (:func:`~repro.algorithms.signature.optimistic_pair_score`) of the
   rung *degrades to greedy*: the floor result is returned carrying the
   triggering :class:`~repro.runtime.Outcome`.
 * :func:`assignment_bounds` — the solved relaxation as an **admissible
-  upper bound** on the true similarity, used to prune the exact search
-  (:mod:`repro.algorithms.exact`) and to tighten per-table bounds before
-  index refinement (:mod:`repro.index.refine`).
+  upper bound** on the true similarity.  It is the one builder of the
+  relaxation: every pruned exact search (:mod:`repro.algorithms.exact`)
+  reads its blocks and solved value, and the rung reports the same bound
+  from the block solves it has already run.  The index does not use it:
+  there it would prune one polynomial signature comparison, which costs
+  less than the solve (:mod:`repro.index.refine` keeps the sketch bound).
 
 Admissibility (why the bound never undershoots the optimum): every cell
 score is bounded by its optimistic value (1 for equal constants, 1 for
@@ -67,7 +70,8 @@ from .result import ComparisonResult
 from .signature import optimistic_pair_score, signature_compare
 
 DEFAULT_MAX_BLOCK_SIZE = 512
-"""Per-relation block-size cap: larger candidate blocks keep greedy pairs."""
+"""Per-relation block-size cap: larger candidate blocks keep greedy pairs
+(and enter :func:`assignment_bounds` with their row maxima, unsolved)."""
 
 DENSE_FALLBACK_SIZE = 24
 """Blocks up to this many rows/columns use the dense Hungarian fallback."""
@@ -442,7 +446,9 @@ class AssignmentBound:
     1:1 assignment value (only meaningful when ``injective_relaxation``);
     ``per_tuple_value`` is the ``Σ rowmax + Σ colmax`` numerator bound
     valid under any options; ``per_relation`` maps relation name to its
-    solved (or row-maxima fallback) value.
+    solved (or row-maxima fallback) value.  ``blocks`` are the candidate
+    blocks the bound was built from, so a consumer (the exact search)
+    reads per-pair weights and row maxima without rebuilding them.
     """
 
     upper_bound: float
@@ -450,6 +456,7 @@ class AssignmentBound:
     per_tuple_value: float
     injective_relaxation: bool
     per_relation: dict[str, float]
+    blocks: tuple[RelationBlock, ...]
 
 
 def assignment_bounds(
@@ -457,8 +464,6 @@ def assignment_bounds(
     right: Instance,
     options: MatchOptions | None = None,
     *,
-    control: Budget | None = None,
-    max_block_size: int = DEFAULT_MAX_BLOCK_SIZE,
     compatible: dict[str, list[str]] | None = None,
 ) -> AssignmentBound:
     """Admissible upper bound on the true similarity of ``left``/``right``.
@@ -466,16 +471,38 @@ def assignment_bounds(
     Fully injective options get ``min(2·relaxation, per-tuple) / denom``;
     anything weaker gets the per-tuple-maxima bound alone (a 1:1
     relaxation is unsound once a tuple may score against several
-    partners).  Blocks over ``max_block_size`` — and blocks cut short by a
-    tripped ``control`` — contribute their row-maxima sum instead of a
-    solved value: still admissible, just looser.
+    partners).  Blocks over :data:`DEFAULT_MAX_BLOCK_SIZE` contribute
+    their row-maxima sum instead of a solved value: still admissible, just
+    looser.
     """
     if options is None:
         options = MatchOptions.general()
+    blocks = candidate_blocks(left, right, options.lam, compatible=compatible)
+    solved: dict[str, float] = {}
+    if options.fully_injective:
+        for block in blocks:
+            if block.weights and block.size <= DEFAULT_MAX_BLOCK_SIZE:
+                solved[block.name] = solve_assignment(
+                    block.weights, len(block.left_ids), len(block.right_ids)
+                ).value
+    return _relaxation_bound(left, right, options, blocks, solved)
+
+
+def _relaxation_bound(
+    left: Instance,
+    right: Instance,
+    options: MatchOptions,
+    blocks: list[RelationBlock],
+    solved: Mapping[str, float],
+) -> AssignmentBound:
+    """Package solved block values as an :class:`AssignmentBound`.
+
+    ``solved`` maps relation name to its block's solved 1:1 value; a block
+    with candidates but no solved value contributes its row-maxima sum.
+    """
     denominator = normalization_denominator(left, right)
     if denominator == 0:
-        return AssignmentBound(1.0, 0.0, 0.0, True, {})
-    blocks = candidate_blocks(left, right, options.lam, compatible=compatible)
+        return AssignmentBound(1.0, 0.0, 0.0, True, {}, tuple(blocks))
     per_tuple = 0.0
     relaxation = 0.0
     per_relation: dict[str, float] = {}
@@ -488,18 +515,8 @@ def assignment_bounds(
         if not block.weights:
             per_relation[block.name] = 0.0
             continue
-        if block.size > max_block_size:
-            solution = None
-        else:
-            solution = solve_assignment(
-                block.weights,
-                len(block.left_ids),
-                len(block.right_ids),
-                control=control,
-            )
-        per_relation[block.name] = (
-            sum(row_max) if solution is None else solution.value
-        )
+        value = solved.get(block.name)
+        per_relation[block.name] = sum(row_max) if value is None else value
         relaxation += per_relation[block.name]
     numerator = min(2.0 * relaxation, per_tuple) if injective else per_tuple
     return AssignmentBound(
@@ -508,6 +525,7 @@ def assignment_bounds(
         per_tuple_value=per_tuple,
         injective_relaxation=injective,
         per_relation=per_relation,
+        blocks=tuple(blocks),
     )
 
 
@@ -600,10 +618,7 @@ def assignment_compare(
 
         if not degraded:
             try:
-                compatible = compatible_tuples_of_instances(left, right)
-                blocks = candidate_blocks(
-                    left, right, options.lam, compatible=compatible
-                )
+                blocks = candidate_blocks(left, right, options.lam)
                 floor_by_relation: dict[str, list[tuple[str, str]]] = {}
                 for left_id, right_id in floor.match.m:
                     name = left.get_tuple(left_id).relation.name
@@ -611,6 +626,7 @@ def assignment_compare(
                         (left_id, right_id)
                     )
                 selected: list[tuple[float, str, str]] = []
+                solved: dict[str, float] = {}
                 for block in blocks:
                     if not block.weights:
                         continue
@@ -644,6 +660,7 @@ def assignment_compare(
                         degraded = True
                         break
                     blocks_solved += 1
+                    solved[block.name] = solution.value
                     seeded_rows += solution.seeded
                     solvers_used.add(solution.solver)
                     for row, col, weight in solution.pairs:
@@ -691,12 +708,8 @@ def assignment_compare(
                         options=options,
                         algorithm="assignment",
                     )
-                    bound = assignment_bounds(
-                        left,
-                        right,
-                        options,
-                        max_block_size=max_block_size,
-                        compatible=compatible,
+                    bound = _relaxation_bound(
+                        left, right, options, blocks, solved
                     )
             except (MemoryError, TimeoutError, InjectedFault) as error:
                 # Injected (or real) resource faults degrade to the floor

@@ -146,7 +146,6 @@ def run_algorithm(
                 node_budget=spec.node_budget,
                 prune=spec.prune,
                 control=control,
-                assignment_bound=spec.assignment_bound,
             )
     elif algorithm is Algorithm.GROUND:
         return ground_compare(left, right, options=options)
@@ -205,7 +204,6 @@ def _exact_with_executor(
                 options=options,
                 prune=spec.prune,
                 control=control,
-                assignment_bound=spec.assignment_bound,
             )
         return exact_compare(
             left,
@@ -215,7 +213,6 @@ def _exact_with_executor(
             prune=spec.prune,
             deadline=deadline,
             token=token,
-            assignment_bound=spec.assignment_bound,
         )
 
     report = executor.run(attempt, degrade=lambda: None, label="exact")

@@ -20,9 +20,15 @@ searches the combinations:
 
 Candidate mappings are kept consistent incrementally with a snapshotting
 :class:`~repro.algorithms.unifier.Unifier` (the ``FindCompleteInstanceMatch``
-check), and a branch-and-bound upper bound prunes hopeless subtrees.  The
-search is exponential — Theorem 5.11 shows the problem is NP-hard — so it
-runs under a :class:`~repro.runtime.Budget` combining a node cap, an
+check).  Two admissible upper bounds prune hopeless subtrees: a per-pair
+arity bound and the solved assignment relaxation
+(:func:`repro.algorithms.assignment.assignment_bounds`).  A tighter
+admissible bound cuts only subtrees holding no strictly better leaf and
+leaves the search order alone, so it changes node counts, never the
+answer of a completed search.
+
+The search is exponential — Theorem 5.11 shows the problem is NP-hard — so
+it runs under a :class:`~repro.runtime.Budget` combining a node cap, an
 optional wall-clock deadline, and cooperative cancellation; when any limit
 trips, the result carries the triggering :class:`~repro.runtime.Outcome`
 and the score is a lower bound.
@@ -46,79 +52,13 @@ from ..runtime.cancellation import CancellationToken
 from ..runtime.outcome import Outcome
 from ..scoring.match_score import score_match
 from ..scoring.sizes import normalization_denominator
+from .assignment import assignment_bounds
 from .compatibility import compatible_tuples_of_instances
 from .result import ComparisonResult
 from .unifier import Unifier
 
 DEFAULT_NODE_BUDGET = 2_000_000
 """Default cap on search nodes before the exact search gives up."""
-
-
-class _AssignmentHints:
-    """Precomputed assignment-relaxation data for bound-tightened pruning.
-
-    ``opt_weight`` maps committed-pair ids to their optimistic pair score;
-    ``row_max`` / ``row_total`` / ``col_total`` are per-left-tuple maxima
-    and their side sums; ``relaxation`` is the solved 1:1 relaxation value
-    (``None`` unless the options are fully injective — the 1:1 bound is
-    unsound otherwise, see :mod:`repro.algorithms.assignment`).
-    """
-
-    __slots__ = (
-        "opt_weight", "row_max", "row_total", "col_total", "relaxation"
-    )
-
-    def __init__(
-        self,
-        opt_weight: dict[tuple[str, str], float],
-        row_max: dict[str, float],
-        row_total: float,
-        col_total: float,
-        relaxation: float | None,
-    ) -> None:
-        self.opt_weight = opt_weight
-        self.row_max = row_max
-        self.row_total = row_total
-        self.col_total = col_total
-        self.relaxation = relaxation
-
-    @classmethod
-    def build(
-        cls,
-        left: Instance,
-        right: Instance,
-        options: MatchOptions,
-        compatible: dict[str, list[str]],
-    ) -> "_AssignmentHints":
-        from .assignment import candidate_blocks, solve_assignment
-
-        blocks = candidate_blocks(
-            left, right, options.lam, compatible=compatible
-        )
-        opt_weight: dict[tuple[str, str], float] = {}
-        row_max: dict[str, float] = {}
-        col_total = 0.0
-        relaxation = 0.0 if options.fully_injective else None
-        for block in blocks:
-            for (i, j), w in block.weights.items():
-                left_id = block.left_ids[i]
-                opt_weight[(left_id, block.right_ids[j])] = w
-                if w > row_max.get(left_id, 0.0):
-                    row_max[left_id] = w
-            col_total += sum(block.col_maxima())
-            if relaxation is None or not block.weights:
-                continue
-            solution = solve_assignment(
-                block.weights, len(block.left_ids), len(block.right_ids)
-            )
-            relaxation += solution.value
-        return cls(
-            opt_weight,
-            row_max,
-            sum(row_max.values()),
-            col_total,
-            relaxation,
-        )
 
 
 class _ExactSearch:
@@ -131,16 +71,12 @@ class _ExactSearch:
         options: MatchOptions,
         control: Budget,
         prune: bool = True,
-        hints: _AssignmentHints | None = None,
     ) -> None:
         self.left = left
         self.right = right
         self.options = options
         self.control = control
         self.prune = prune
-        self.hints = hints
-        self.committed_opt = 0.0
-        self.suffix_row_max: list[float] = []
         self.denominator = normalization_denominator(left, right)
         self.unifier = Unifier.for_instances(left, right)
         self.current_pairs: list[tuple[str, str]] = []
@@ -148,6 +84,17 @@ class _ExactSearch:
         self.best_pairs: list[tuple[str, str]] = []
         self.compatible = compatible_tuples_of_instances(left, right)
         self.right_use_count: dict[str, int] = {}
+        # Pruning runs the solved assignment relaxation beside the pair
+        # bound: one polynomial solve against an exponential search.
+        self.relaxation = (
+            assignment_bounds(left, right, options, compatible=self.compatible)
+            if prune
+            else None
+        )
+        self.opt_weight: dict[tuple[str, str], float] = {}
+        self.committed_opt = 0.0
+        self.suffix_row_max: list[float] = []
+        self.col_total = 0.0
 
     def _evaluate_leaf(self) -> None:
         """Score the current candidate tuple mapping and update the best."""
@@ -185,20 +132,17 @@ class _ExactSearch:
         In the functional search ``suffix_index`` points into the
         suffix-row-maxima array (the optimistic weight still reachable by
         the unassigned left tuples); in the powerset search it is ``None``
-        and the global per-tuple bound applies.  Fully injective options
+        and the relaxation's global bound applies.  Fully injective options
         additionally cap the total at the solved 1:1 relaxation value.
         """
-        hints = self.hints
-        if hints is None or self.denominator == 0:
-            return 1.0
-        if suffix_index is None:
-            numerator = hints.row_total + hints.col_total
+        bound = self.relaxation
+        if suffix_index is None or self.denominator == 0:
+            return bound.upper_bound
+        total = self.committed_opt + self.suffix_row_max[suffix_index]
+        if bound.injective_relaxation:
+            numerator = 2.0 * min(bound.relaxation_value, total)
         else:
-            total = self.committed_opt + self.suffix_row_max[suffix_index]
-            if hints.relaxation is not None:
-                numerator = 2.0 * min(hints.relaxation, total)
-            else:
-                numerator = total + hints.col_total
+            numerator = total + self.col_total
         return numerator / self.denominator
 
     # -- functional (left-injective) search ------------------------------------
@@ -209,14 +153,19 @@ class _ExactSearch:
             self.left.tuples(),
             key=lambda t: (len(self.compatible.get(t.tuple_id, [])), t.tuple_id),
         )
-        if self.hints is not None:
+        if self.relaxation is not None:
+            row_max: dict[str, float] = {}
+            for block in self.relaxation.blocks:
+                for (i, j), weight in block.weights.items():
+                    pair = (block.left_ids[i], block.right_ids[j])
+                    self.opt_weight[pair] = weight
+                row_max.update(zip(block.left_ids, block.row_maxima()))
+                self.col_total += sum(block.col_maxima())
             # suffix_row_max[i] = Σ_{j ≥ i} rowmax(left_tuples[j]): the most
             # the still-unassigned left tuples can contribute.
             suffix = [0.0] * (len(left_tuples) + 1)
             for i in range(len(left_tuples) - 1, -1, -1):
-                suffix[i] = suffix[i + 1] + self.hints.row_max.get(
-                    left_tuples[i].tuple_id, 0.0
-                )
+                suffix[i] = suffix[i + 1] + row_max[left_tuples[i].tuple_id]
             self.suffix_row_max = suffix
         self._functional_dfs(left_tuples, 0)
 
@@ -227,11 +176,9 @@ class _ExactSearch:
             self._evaluate_leaf()
             return
         remaining = len(left_tuples) - index
-        if self.prune and self._pair_bound(remaining) <= self.best_score:
-            return
-        if (
-            self.hints is not None
-            and self._assignment_bound(index) <= self.best_score
+        if self.prune and (
+            self._pair_bound(remaining) <= self.best_score
+            or self._assignment_bound(index) <= self.best_score
         ):
             return
         t = left_tuples[index]
@@ -250,15 +197,10 @@ class _ExactSearch:
             self.right_use_count[right_id] = (
                 self.right_use_count.get(right_id, 0) + 1
             )
-            pair_opt = 0.0
-            if self.hints is not None:
-                pair_opt = self.hints.opt_weight.get(
-                    (t.tuple_id, right_id), 0.0
-                )
-                self.committed_opt += pair_opt
+            pair_opt = self.opt_weight.get((t.tuple_id, right_id), 0.0)
+            self.committed_opt += pair_opt
             self._functional_dfs(left_tuples, index + 1)
-            if self.hints is not None:
-                self.committed_opt -= pair_opt
+            self.committed_opt -= pair_opt
             self.right_use_count[right_id] -= 1
             self.current_pairs.pop()
             self.unifier.rollback(token)
@@ -284,11 +226,9 @@ class _ExactSearch:
         if index == len(pairs):
             self._evaluate_leaf()
             return
-        if self.prune and self._pair_bound(len(pairs) - index) <= self.best_score:
-            return
-        if (
-            self.hints is not None
-            and self._assignment_bound(None) <= self.best_score
+        if self.prune and (
+            self._pair_bound(len(pairs) - index) <= self.best_score
+            or self._assignment_bound(None) <= self.best_score
         ):
             return
         left_id, right_id = pairs[index]
@@ -346,7 +286,6 @@ def exact_compare(
     deadline: float | None = None,
     token: CancellationToken | None = None,
     control: Budget | None = None,
-    assignment_bound: bool = False,
 ) -> ComparisonResult:
     """Run the exact algorithm (Alg. 1) and return the best instance match.
 
@@ -364,12 +303,12 @@ def exact_compare(
         carries ``outcome=BUDGET_EXHAUSTED`` and the best score found so
         far (a lower bound).
     prune:
-        Enable the branch-and-bound upper-bound pruning (disable only for
-        the ablation benchmark measuring its effect).
-    assignment_bound:
-        Additionally prune with the solved assignment-relaxation bound
-        (one solve per comparison up front; identical results, fewer
-        nodes — see :mod:`repro.algorithms.assignment`).
+        Enable the branch-and-bound pruning: the per-pair arity bound and
+        the solved assignment relaxation
+        (:func:`repro.algorithms.assignment.assignment_bounds`, one solve
+        per search).  Both are admissible, so pruning never changes a
+        completed search's answer; disable it only for the ablation
+        benchmark or as the reference oracle in tests.
     deadline:
         Optional wall-clock allowance in seconds for this search.
     token:
@@ -396,13 +335,8 @@ def exact_compare(
     )
     nodes_before = control.nodes
     search = _ExactSearch(left, right, options, control, prune=prune)
-    if assignment_bound and prune:
-        search.hints = _AssignmentHints.build(
-            left, right, options, search.compatible
-        )
     with span(
-        "exact.search", functional=options.functional, prune=prune,
-        assignment_bound=search.hints is not None,
+        "exact.search", functional=options.functional, prune=prune
     ) as search_span:
         if control.check():
             try:
@@ -447,10 +381,10 @@ def exact_compare(
         algorithm="exact",
         outcome=control.outcome,
         stats={
-            "nodes_explored": control.nodes,
+            "nodes_explored": nodes_spent,
             "candidate_pairs": candidate_pairs,
             "node_budget": control.node_limit,
-            "assignment_bound": search.hints is not None,
+            "assignment_bound": search.relaxation is not None,
             "outcome": control.outcome.value,
         },
         elapsed_seconds=time.perf_counter() - started,

@@ -111,17 +111,15 @@ class ExactOptions:
         Search-node cap; on exhaustion the best match found so far is
         returned with a non-complete outcome.
     prune:
-        Enable upper-bound pruning (turn off only for debugging the
-        search).
-    assignment_bound:
-        Additionally prune with the solved assignment-relaxation bound
-        (:func:`repro.algorithms.assignment.assignment_bounds`) — same
-        results, fewer nodes; costs one solve per comparison up front.
+        Enable upper-bound pruning with the pair bound and the solved
+        assignment relaxation
+        (:func:`repro.algorithms.assignment.assignment_bounds`); both are
+        admissible, so a completed search returns the same answer either
+        way (turn off only for ablations or as a test oracle).
     """
 
     node_budget: int = DEFAULT_NODE_BUDGET
     prune: bool = True
-    assignment_bound: bool = False
 
     algorithm = Algorithm.EXACT
 

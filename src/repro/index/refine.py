@@ -22,6 +22,11 @@ Exactness: with admissible bounds and complete outcomes, the refined hits
 are *identical* — names, scores, matched-tuple counts, tie order — to the
 brute-force scan over every comparable table.  ``benchmarks/bench_index.py``
 gates on that equality (recall@k = 1.0).
+
+The sketch bound is the only bound here.  The solved assignment relaxation
+(:func:`repro.algorithms.assignment.assignment_bounds`) is tighter, but
+each candidate it prunes saves one polynomial signature comparison, which
+costs less than the solve; it prunes the exponential exact search instead.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
-from ..algorithms.assignment import assignment_bounds as solve_assignment_bounds
 from ..algorithms.dispatch import run_algorithm
 from ..algorithms.options import (
     Algorithm,
@@ -96,13 +100,6 @@ class RefinePolicy:
     scores the sketch bounds are admissible for; other algorithms re-rank
     with their own scores, so the index-vs-brute-force parity guarantee
     then only holds against a brute force running the same algorithm.
-
-    ``assignment_bounds`` tightens each surviving candidate's sketch bound
-    with the solved 1:1 assignment relaxation
-    (:func:`repro.algorithms.assignment.assignment_bounds`) before
-    refinement.  The tightened bound is still an admissible upper bound on
-    the true similarity, so exactness is preserved; the gain is more
-    bound-only pruning at the cost of one polynomial solve per candidate.
     """
 
     jobs: int = 1
@@ -112,7 +109,6 @@ class RefinePolicy:
     fault_plan: FaultPlan | None = None
     out: Callable[[str], None] | None = None
     algorithm: "Algorithm | AlgorithmOptions | None" = None
-    assignment_bounds: bool = False
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
@@ -146,7 +142,6 @@ class RefineReport:
 
     candidates: int = 0
     bound_evaluations: int = 0
-    assignment_bound_evaluations: int = 0
     refined: int = 0
     pruned: int = 0
     incomparable: int = 0
@@ -157,7 +152,6 @@ class RefineReport:
         return {
             "candidates": self.candidates,
             "bound_evaluations": self.bound_evaluations,
-            "assignment_bound_evaluations": self.assignment_bound_evaluations,
             "refined": self.refined,
             "pruned": self.pruned,
             "incomparable": self.incomparable,
@@ -350,20 +344,6 @@ def _refine_search_impl(
     comparer = QueryComparer(
         index.cache, index.options, query, spec=policy.resolved_algorithm()
     )
-    if policy.assignment_bounds:
-        for name in order:
-            pair = comparer.prepared_pair(index.get(name))
-            if pair is None:
-                continue
-            left_entry, right_entry = pair
-            report.assignment_bound_evaluations += 1
-            tightened = solve_assignment_bounds(
-                left_entry.instance, right_entry.instance, index.options
-            ).upper_bound
-            if tightened < bounds[name]:
-                bounds[name] = tightened
-        report.bounds = dict(bounds)
-        order = sorted(bounds, key=lambda name: (-bounds[name], name))
     hits: list[SearchHit] = []
     position = 0
     chunk = max(1, policy.jobs)
@@ -433,7 +413,6 @@ def _refine_dedup_impl(
     pair_source = (
         sorted(lsh_pairs) if not exact else list(_comparable_pairs(index))
     )
-    tighteners: dict[str, QueryComparer] = {}
     survivors: list[tuple[str, str, float]] = []
     for first, second in pair_source:
         first_sketch, second_sketch = index.sketch(first), index.sketch(second)
@@ -447,26 +426,6 @@ def _refine_dedup_impl(
         if bound < threshold:
             report.pruned += 1
             continue
-        if policy.assignment_bounds:
-            comparer = tighteners.get(first)
-            if comparer is None:
-                comparer = tighteners[first] = QueryComparer(
-                    index.cache,
-                    index.options,
-                    index.get(first),
-                    spec=policy.resolved_algorithm(),
-                )
-            pair = comparer.prepared_pair(index.get(second))
-            if pair is not None:
-                left_entry, right_entry = pair
-                report.assignment_bound_evaluations += 1
-                tightened = solve_assignment_bounds(
-                    left_entry.instance, right_entry.instance, index.options
-                ).upper_bound
-                bound = min(bound, tightened)
-                if bound < threshold:
-                    report.pruned += 1
-                    continue
         survivors.append((first, second, bound))
     report.candidates = len(survivors)
 

@@ -121,18 +121,12 @@ def _fingerprint_columnar(view: ColumnarInstance) -> str:
 
 @dataclass(frozen=True)
 class PreparedSide:
-    """One instance prepared for one side of comparisons, plus its index.
-
-    ``columnar`` is the prepared instance's cached columnar view (built at
-    cache-fill time), so every consumer of a cache entry — sketching,
-    fingerprinting, compatibility — gets the array form for free.
-    """
+    """One instance prepared for one side of comparisons, plus its index."""
 
     fingerprint: str
     side: str  # "left" | "right"
     instance: Instance
     index: SignatureIndex
-    columnar: ColumnarInstance
 
 
 class SignatureCache:
@@ -185,7 +179,6 @@ class SignatureCache:
             side=side,
             instance=prepared,
             index=SignatureIndex.build(prepared),
-            columnar=prepared.columns(),
         )
         self._entries[key] = entry
         if len(self._entries) > self.max_entries:

@@ -6,6 +6,7 @@ from repro.core.instance import Instance
 from repro.core.values import LabeledNull
 from repro.mappings.constraints import MatchOptions
 from repro.algorithms.exact import exact_compare
+from repro.runtime.budget import Budget
 
 LAM = 0.5
 N = LabeledNull
@@ -137,6 +138,21 @@ class TestBudget:
         assert result.stats["nodes_explored"] >= 1
         assert result.stats["candidate_pairs"] == 1
         assert result.elapsed_seconds >= 0.0
+
+    def test_nodes_explored_counts_this_search_only(self):
+        # A control shared across searches arrives with nodes already
+        # spent; the stats report the nodes this search explored.
+        left = inst([("x", 1), (N("N1"), 2)], prefix="l")
+        right = inst([("x", 1), ("y", N("N2"))], prefix="r")
+        options = MatchOptions.versioning(lam=LAM)
+        fresh = exact_compare(left, right, options)
+        shared = Budget().start()
+        shared.spend(100)
+        reused = exact_compare(left, right, options, control=shared)
+        assert reused.stats["nodes_explored"] == (
+            fresh.stats["nodes_explored"]
+        )
+        assert shared.nodes == 100 + fresh.stats["nodes_explored"]
 
 
 class TestAgainstBruteForce:

@@ -153,55 +153,6 @@ class TestApproximateMode:
         assert ("copy", "orig") in loose
 
 
-class TestAssignmentBoundTightening:
-    """``RefinePolicy(assignment_bounds=True)``: same answers, more pruning."""
-
-    def test_search_results_unchanged(self):
-        index = corpus_index()
-        query = simple([("x", 1), ("y", 2), ("z", 3)])
-        for top_k in (1, 2, 4, 10):
-            plain = index.search(query, top_k=top_k)
-            tightened = index.search(
-                query, top_k=top_k,
-                policy=RefinePolicy(assignment_bounds=True),
-            )
-            assert tightened == plain
-        report = index.last_report
-        assert report.assignment_bound_evaluations == report.candidates
-        assert "assignment_bound_evaluations" in report.as_dict()
-
-    def test_search_never_refines_more(self):
-        index = corpus_index()
-        query = simple([("x", 1), ("y", 2), ("z", 3)])
-        index.search(query, top_k=1)
-        plain_refined = index.last_report.refined
-        index.search(
-            query, top_k=1, policy=RefinePolicy(assignment_bounds=True)
-        )
-        assert index.last_report.refined <= plain_refined
-
-    def test_dedup_results_unchanged(self):
-        index = corpus_index()
-        for threshold in (0.5, 0.8, 0.99):
-            plain = index.near_duplicates(threshold=threshold)
-            tightened = index.near_duplicates(
-                threshold=threshold,
-                policy=RefinePolicy(assignment_bounds=True),
-            )
-            assert tightened == plain
-
-    def test_dedup_tightening_prunes_more(self):
-        index = corpus_index()
-        index.near_duplicates(threshold=0.9)
-        plain = index.last_report
-        index.near_duplicates(
-            threshold=0.9, policy=RefinePolicy(assignment_bounds=True)
-        )
-        tightened = index.last_report
-        assert tightened.pruned >= plain.pruned
-        assert tightened.assignment_bound_evaluations >= 1
-
-
 class TestWorkerPolicy:
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ValueError, match="jobs"):

@@ -26,6 +26,14 @@ def table2_scale_pair():
     return scenario.source, scenario.target
 
 
+@pytest.fixture(scope="module")
+def exact_hard_pair():
+    """A pair whose exact search runs for seconds (doct, 200 rows)."""
+    base = generate_dataset("doct", rows=200, seed=0)
+    scenario = perturb(base, PerturbationConfig.mod_cell(5.0, seed=0))
+    return scenario.source, scenario.target
+
+
 class TestDeadlineLadder:
     def test_one_second_deadline_beats_signature_floor(self, table2_scale_pair):
         source, target = table2_scale_pair
@@ -92,9 +100,9 @@ class TestCancellation:
         assert result.match is not None  # still a scoreable floor match
 
     def test_timer_cancellation_mid_exact_returns_promptly(
-        self, table2_scale_pair
+        self, exact_hard_pair
     ):
-        source, target = table2_scale_pair
+        source, target = exact_hard_pair
         token = CancellationToken()
         timer = token.cancel_after(0.3)
         try:
@@ -107,7 +115,8 @@ class TestCancellation:
         finally:
             timer.cancel()
         # The exact rung on this pair runs for many seconds uncancelled
-        # (see Table 2); the token must cut it within one check interval.
+        # (it exhausts its node budget in Table 2 at default scale); the
+        # token must cut it within one check interval.
         assert elapsed < 5.0
         assert result.outcome is Outcome.CANCELLED
         assert result.similarity >= 0.0
@@ -134,13 +143,13 @@ class TestCompareEntryPoint:
     def test_comparator_compare_anytime_matches_compare_one(self):
         # One spec, two entry points: both must run the same ladder with
         # the session's knobs.  Uncapped, the exact rung completes on this
-        # pair in ~350 nodes; the session's cap of 100 must cut it in both.
+        # pair in ~50 nodes; the session's cap of 20 must cut it in both.
         scenario = perturb(
             generate_dataset("doct", rows=30, seed=0),
             PerturbationConfig.mod_cell(5.0, seed=0),
         )
         comparator = Comparator(
-            AnytimeOptions(node_budget=100, check_interval=16),
+            AnytimeOptions(node_budget=20, check_interval=16),
             MatchOptions.versioning(),
         )
         ladder = comparator.compare_anytime(scenario.source, scenario.target)
