@@ -28,11 +28,11 @@ applications — data versioning, data-exchange solution comparison,
 constraint-repair evaluation — are presets on
 :class:`~repro.mappings.MatchOptions`.
 
-Bulk data enters columnar: :meth:`Instance.from_columns` ingests
-per-attribute value arrays (with optional null masks) and arrives with
-the integer-coded columnar view (:mod:`repro.core.columnar`) already
-built, which the compatibility and fingerprinting hot paths then consume
-directly (see ``docs/COLUMNAR.md``).  Signatures and sketches are built
+Bulk data enters column-shaped: :meth:`Instance.from_columns` ingests
+per-attribute value arrays (with optional null masks).  Compatible-tuple
+discovery (Alg. 2) runs on an integer-coded columnar view
+(:mod:`repro.core.columnar`) that each instance builds on first use (see
+``docs/COLUMNAR.md``).  Signatures, sketches and fingerprints are built
 from the tuple objects.
 """
 
@@ -101,7 +101,7 @@ from .runtime.anytime import DEFAULT_ANYTIME_NODE_BUDGET
 from .runtime.budget import DEFAULT_CHECK_INTERVAL
 from .scoring.match_score import score_match
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 
 def compare(

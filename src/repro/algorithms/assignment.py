@@ -546,8 +546,6 @@ def assignment_compare(
     right: Instance,
     options: MatchOptions | None = None,
     align_preference: bool = True,
-    max_block_size: int = DEFAULT_MAX_BLOCK_SIZE,
-    dense_threshold: int = DENSE_FALLBACK_SIZE,
     control: Budget | None = None,
     left_index=None,
     right_index=None,
@@ -562,8 +560,9 @@ def assignment_compare(
        returned score never drops below this floor.
     2. **solve** — per relation, the max-weight 1:1 assignment over the
        optimistic pair scores of the compatible-pair matrix (sparse JV;
-       dense Hungarian below ``dense_threshold``; blocks larger than
-       ``max_block_size`` keep the floor's pairs for that relation).
+       dense Hungarian up to :data:`DENSE_FALLBACK_SIZE`; blocks larger
+       than :data:`DEFAULT_MAX_BLOCK_SIZE` keep the floor's pairs for that
+       relation).
     3. **commit** — solved pairs enter a fresh match in descending-weight
        order (the documented tie-break), the greedy completion step then
        extends it where the options allow, and the better-scoring of
@@ -630,7 +629,7 @@ def assignment_compare(
                 for block in blocks:
                     if not block.weights:
                         continue
-                    if block.size > max_block_size:
+                    if block.size > DEFAULT_MAX_BLOCK_SIZE:
                         # Too large under the cap: keep the greedy pairs
                         # for this relation instead of solving.
                         blocks_skipped += 1
@@ -654,7 +653,6 @@ def assignment_compare(
                         len(block.left_ids),
                         len(block.right_ids),
                         control=control,
-                        dense_threshold=dense_threshold,
                     )
                     if solution is None:
                         degraded = True

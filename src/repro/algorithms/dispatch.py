@@ -126,8 +126,6 @@ def run_algorithm(
             right,
             options=options,
             align_preference=spec.align_preference,
-            max_block_size=spec.max_block_size,
-            dense_threshold=spec.dense_threshold,
             control=control,
             left_index=left_index,
             right_index=right_index,

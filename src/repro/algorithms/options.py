@@ -30,7 +30,6 @@ from typing import Callable, Union
 
 from ..runtime.anytime import DEFAULT_ANYTIME_NODE_BUDGET
 from ..runtime.budget import DEFAULT_CHECK_INTERVAL
-from .assignment import DEFAULT_MAX_BLOCK_SIZE, DENSE_FALLBACK_SIZE
 from .exact import DEFAULT_NODE_BUDGET
 
 
@@ -85,18 +84,13 @@ class AssignmentOptions:
     ----------
     align_preference:
         Forwarded to the greedy floor (see :class:`SignatureOptions`).
-    max_block_size:
-        Per-relation candidate-block cap: relations whose candidate matrix
-        exceeds this many rows or columns keep the greedy pairs instead of
-        being solved (bounds solver cost on huge tables).
-    dense_threshold:
-        Blocks up to this size run the dense O(n³) Hungarian fallback;
-        larger blocks run the sparse Jonker-Volgenant path.
+
+    The block-size cap and the dense-solver threshold are constants of
+    :mod:`repro.algorithms.assignment` (``DEFAULT_MAX_BLOCK_SIZE``,
+    ``DENSE_FALLBACK_SIZE``), not options.
     """
 
     align_preference: bool = True
-    max_block_size: int = DEFAULT_MAX_BLOCK_SIZE
-    dense_threshold: int = DENSE_FALLBACK_SIZE
 
     algorithm = Algorithm.ASSIGNMENT
 

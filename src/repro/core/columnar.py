@@ -2,9 +2,10 @@
 
 The object model (:mod:`repro.core.instance`) stores one Python object per
 cell, which is the right shape for the algorithms' correctness story but the
-wrong shape for bulk passes: compatibility indexing, sketching, and
-fingerprinting all touch every cell once, and at TPC-H scale the per-object
-overhead dominates.  This module provides the columnar twin:
+wrong shape for Alg. 2's bulk pass: compatible-tuple discovery touches every
+cell and compares cells across the two instances pairwise.  This module
+provides the columnar twin that pass runs on
+(:func:`repro.algorithms.compatibility.compatible_tuples_columnar`):
 
 * every distinct **constant** of the instance gets a non-negative integer
   code (first occurrence order, scanning relations in schema order, tuples
@@ -15,24 +16,21 @@ overhead dominates.  This module provides the columnar twin:
 * each relation stores one ``array('q')`` (signed 64-bit) column per
   attribute, plus the tuple ids.
 
-Constants are coded by ``==`` equality — exactly the equality the signature
-and compatibility machinery uses — so two cells share a code iff the object
-algorithms would treat them as the same value.  Cells whose value is ``==``
-to the code's representative but not reconstructible from it (e.g. ``1``
-vs ``1.0``, ``-0.0`` vs ``0.0``) are recorded in a sparse per-relation
-``overrides`` map so :meth:`ColumnarInstance.to_instance` is always exact;
-the one type-sensitive consumer, the content fingerprint, falls back to
-the object path when overrides exist.
+Constants are coded by ``==`` equality — exactly the equality the
+compatibility machinery uses — so two cells share a code iff the object
+algorithms would treat them as the same value (``1``, ``1.0`` and ``True``
+share one code).  The view therefore answers equality questions only; it
+cannot reconstruct a cell's type.
 
-The view is built once per instance and cached on it
-(:meth:`repro.core.instance.Instance.columns`); ``to_instance`` goes the
-other way.
+The view is built on first use and cached on the instance
+(:meth:`repro.core.instance.Instance.columns`); :meth:`Instance.add
+<repro.core.instance.Instance.add>` discards it.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import InstanceError, SchemaError
 from .schema import RelationSchema, Schema
@@ -42,19 +40,10 @@ from .values import LabeledNull, Value, is_null
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .instance import Instance
 
-#: Types for which ``==`` within the same type implies an identical repr,
-#: so a code representative reconstructs the cell exactly without a check.
-_REPR_SAFE_TYPES = (str, int, bool, bytes, type(None))
-
 
 def null_code(index: int) -> int:
     """Code of the ``index``-th labeled null (0-based): ``-(index + 1)``."""
     return -(index + 1)
-
-
-def null_index(code: int) -> int:
-    """Inverse of :func:`null_code` (requires ``code < 0``)."""
-    return -code - 1
 
 
 class _Coder:
@@ -69,8 +58,6 @@ class _Coder:
         "has_nan",
     )
 
-    _MISSING = object()
-
     def __init__(self) -> None:
         self.decode: list[Value] = []
         self.value_codes: dict[Value, int] = {}
@@ -80,8 +67,8 @@ class _Coder:
         self.has_none = False
         self.has_nan = False
 
-    def code(self, value: Value, overrides: dict, cell: tuple[int, int]) -> int:
-        """Code ``value``; record an override when the code is lossy."""
+    def code(self, value: Value) -> int:
+        """Code ``value``, assigning the next free code on first sight."""
         if is_null(value):
             code = self.null_codes.get(value.label)
             if code is None:
@@ -89,8 +76,8 @@ class _Coder:
                 self.null_codes[value.label] = code
                 self.null_values.append(value)
             return code
-        code = self.value_codes.get(value, self._MISSING)
-        if code is self._MISSING:
+        code = self.value_codes.get(value)
+        if code is None:
             code = len(self.decode)
             self.value_codes[value] = code
             self.decode.append(value)
@@ -98,16 +85,6 @@ class _Coder:
                 self.has_none = True
             elif value != value:  # NaN-like: != is not a partial order
                 self.has_nan = True
-            return code
-        representative = self.decode[code]
-        if representative is not value:
-            kind = type(value)
-            if type(representative) is not kind:
-                overrides[cell] = value
-            elif kind not in _REPR_SAFE_TYPES and repr(
-                representative
-            ) != repr(value):
-                overrides[cell] = value
         return code
 
 
@@ -135,172 +112,46 @@ class ColumnarInstance:
     """The columnar twin of one :class:`~repro.core.instance.Instance`."""
 
     __slots__ = (
-        "name",
-        "schema",
         "relations",
         "decode",
         "value_codes",
         "null_values",
         "null_codes",
-        "overrides",
         "has_none",
         "has_nan",
     )
 
     def __init__(
-        self,
-        name: str,
-        schema: Schema,
-        relations: dict[str, ColumnarRelation],
-        coder: _Coder,
-        overrides: dict[str, dict[tuple[int, int], Value]],
+        self, relations: dict[str, ColumnarRelation], coder: _Coder
     ) -> None:
-        self.name = name
-        self.schema = schema
         self.relations = relations
         self.decode = coder.decode
         self.value_codes = coder.value_codes
         self.null_values = coder.null_values
         self.null_codes = coder.null_codes
-        self.overrides = overrides
         self.has_none = coder.has_none
         self.has_nan = coder.has_nan
-
-    # -- construction -------------------------------------------------------
 
     @classmethod
     def from_instance(cls, instance: "Instance") -> "ColumnarInstance":
         """Code every cell of ``instance`` (deterministic scan order)."""
         coder = _Coder()
+        code = coder.code
         relations: dict[str, ColumnarRelation] = {}
-        all_overrides: dict[str, dict[tuple[int, int], Value]] = {}
         for relation in instance.relations():
             schema = relation.schema
             arity = schema.arity
             columns = tuple(array("q") for _ in range(arity))
             ids: list[str] = []
-            overrides: dict[tuple[int, int], Value] = {}
-            code = coder.code
-            row = 0
             for t in relation:
                 ids.append(t.tuple_id)
                 values = t.values
                 for position in range(arity):
-                    columns[position].append(
-                        code(values[position], overrides, (row, position))
-                    )
-                row += 1
+                    columns[position].append(code(values[position]))
             relations[schema.name] = ColumnarRelation(
                 schema, tuple(ids), columns
             )
-            if overrides:
-                all_overrides[schema.name] = overrides
-        return cls(
-            instance.name, instance.schema, relations, coder, all_overrides
-        )
-
-    # -- properties ---------------------------------------------------------
-
-    @property
-    def exact(self) -> bool:
-        """Whether every cell is exactly reconstructible from its code alone."""
-        return not self.overrides
-
-    @property
-    def constant_count(self) -> int:
-        """Number of distinct constant codes."""
-        return len(self.decode)
-
-    @property
-    def null_count(self) -> int:
-        """Number of distinct labeled nulls."""
-        return len(self.null_values)
-
-    @property
-    def n_cells(self) -> int:
-        total = 0
-        for relation in self.relations.values():
-            total += relation.n_rows * relation.schema.arity
-        return total
-
-    def value_of(self, code: int) -> Value:
-        """Decode a cell code (representative constant or labeled null)."""
-        if code < 0:
-            return self.null_values[null_index(code)]
-        return self.decode[code]
-
-    # -- in-place maintenance ------------------------------------------------
-
-    def try_append(self, t: Tuple) -> bool:
-        """Patch the view in place for a single-tuple append, when lossless.
-
-        Returns ``True`` when every value of ``t`` is already covered by
-        the decode tables with *exact* reconstruction — then the patched
-        view is structurally identical to a cold rebuild of the grown
-        instance (regression-tested).  Returns ``False`` (leaving the
-        view untouched) when any value would need a fresh code, a fresh
-        null label, or an override entry: fresh codes are assigned in
-        first-occurrence scan order, which an append in the middle of a
-        multi-relation scan cannot reproduce.
-        """
-        crel = self.relations.get(t.relation.name)
-        if crel is None or crel.schema.attributes != t.relation.attributes:
-            return False
-        codes: list[int] = []
-        for value in t.values:
-            if is_null(value):
-                code = self.null_codes.get(value.label)
-                if code is None:
-                    return False
-            else:
-                try:
-                    code = self.value_codes.get(value)
-                except TypeError:  # unhashable: the coder would fail too
-                    return False
-                if code is None:
-                    return False
-                representative = self.decode[code]
-                if representative is not value:
-                    kind = type(value)
-                    if type(representative) is not kind:
-                        return False  # would need an override entry
-                    if kind not in _REPR_SAFE_TYPES and repr(
-                        representative
-                    ) != repr(value):
-                        return False
-            codes.append(code)
-        for position, code in enumerate(codes):
-            crel.columns[position].append(code)
-        crel.tuple_ids = crel.tuple_ids + (t.tuple_id,)
-        return True
-
-    # -- back to the object model ------------------------------------------
-
-    def to_instance(self, name: str | None = None) -> "Instance":
-        """Materialize the object model (same tuple ids, exact cell values)."""
-        from .instance import Instance
-
-        instance = Instance(self.schema, name=self.name if name is None else name)
-        decode = self.decode
-        null_values = self.null_values
-        for rel_name, crel in self.relations.items():
-            schema = crel.schema
-            overrides = self.overrides.get(rel_name, {})
-            columns = crel.columns
-            arity = schema.arity
-            for row, tuple_id in enumerate(crel.tuple_ids):
-                values = tuple(
-                    null_values[-code - 1] if (code := columns[p][row]) < 0
-                    else decode[code]
-                    for p in range(arity)
-                )
-                if overrides:
-                    patched = [
-                        overrides.get((row, p), values[p]) for p in range(arity)
-                    ]
-                    values = tuple(patched)
-                instance.add(Tuple(tuple_id, schema, values))
-        return instance
+        return cls(relations, coder)
 
 
 # -- column-shaped input normalization (Instance.from_columns) --------------
@@ -457,9 +308,6 @@ def build_from_columns(
                 Tuple(f"{id_prefix}{counter}", relation_schema, values)
             )
             counter += 1
-    # The columnar twin is the point of bulk ingest: build and cache it now
-    # so downstream passes (compatibility, sketches, fingerprints) reuse it.
-    instance.columns()
     return instance
 
 
@@ -468,5 +316,4 @@ __all__ = [
     "ColumnarRelation",
     "build_from_columns",
     "null_code",
-    "null_index",
 ]

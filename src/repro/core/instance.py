@@ -193,8 +193,8 @@ class Instance:
         attribute either one boolean per row or an iterable of row indices.
 
         Tuple ids, values, and iteration order are byte-identical to the
-        equivalent :meth:`from_rows` build; the columnar view
-        (:meth:`columns`) is built in the same pass and cached.
+        equivalent :meth:`from_rows` build; like any instance, it builds
+        its columnar view (:meth:`columns`) on first use.
 
         Examples
         --------
@@ -233,11 +233,7 @@ class Instance:
             )
         self._relations[t.relation.name].add(t)
         self._ids[t.tuple_id] = t.relation.name
-        view = self._columnar
-        if view is not None and not view.try_append(t):
-            # The append needs a fresh code / null label / override, which
-            # only a cold first-occurrence rescan can assign consistently.
-            self._columnar = None
+        self._columnar = None
 
     def add_row(
         self, relation_name: str, tuple_id: str, values: Sequence[Value]
@@ -252,14 +248,10 @@ class Instance:
     def columns(self):
         """The cached columnar view of this instance.
 
-        Built on first access (one pass over all cells); see
-        :mod:`repro.core.columnar` for the representation.  :meth:`add`
-        patches the cached view in place when the appended tuple's values
-        are already covered by the decode tables
-        (:meth:`ColumnarInstance.try_append
-        <repro.core.columnar.ColumnarInstance.try_append>`) and discards
-        it otherwise.  Mutating relations directly (bypassing
-        :meth:`add`) does not invalidate the cache.
+        Built on first access (one pass over all cells) for compatible-tuple
+        discovery; see :mod:`repro.core.columnar` for the representation.
+        :meth:`add` discards the cached view.  Mutating relations directly
+        (bypassing :meth:`add`) does not invalidate the cache.
         """
         view = self._columnar
         if view is None:

@@ -1,6 +1,6 @@
 """Deterministic dbgen-free TPC-H synthesis at paper-bench scale (Sec. 7.1).
 
-The columnar engine needs a workload whose hot paths dominate — hundreds of
+Benchmarks need a workload whose hot paths dominate — hundreds of
 thousands of tuples across many relations — and the TPC-H schema is the
 standard shape for that.  This module synthesises all eight tables at a
 chosen scale factor without the C ``dbgen`` tool: every table is generated
@@ -22,10 +22,10 @@ value equality, null placement, and key structure.
 
 Incompleteness and dirtiness are injected on top, seeded separately:
 ``null_rate`` replaces non-key cells with fresh labeled nulls (via the
-``nulls=`` masks of :meth:`Instance.from_columns`, so the instance arrives
-columnar), and ``violation_rate`` plants primary-key duplicates and
-dangling foreign keys — the constraint-violating instances the paper's
-similarity measures are designed to compare.
+``nulls=`` masks of :meth:`Instance.from_columns`), and ``violation_rate``
+plants primary-key duplicates and dangling foreign keys — the
+constraint-violating instances the paper's similarity measures are
+designed to compare.
 """
 
 from __future__ import annotations
@@ -201,10 +201,11 @@ def _table_rng(seed: int, table: str, stage: str = "gen") -> random.Random:
 def _money(rng: random.Random, lo_cents: int, hi_cents: int) -> float:
     """A price with non-zero cents, so no float ever equals an integer key.
 
-    An integral float (``904.0``) would compare ``==`` to the int ``904``
-    and share its code in the columnar coder, forcing a per-cell override;
-    keeping cents non-zero keeps every generated instance override-free
-    and therefore on the exact columnar fast lanes.
+    An integral float (``904.0``) compares ``==`` to the int ``904``, so it
+    would fold into that key's constant wherever constants are collected
+    by equality (the active domain, the columnar view's decode table).
+    Seeded instances, and their fingerprints, depend on the values this
+    rule produces.
     """
     cents = rng.randrange(lo_cents, hi_cents)
     if cents % 100 == 0:

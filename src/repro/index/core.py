@@ -65,8 +65,8 @@ class SimilarityIndex:
     --------
     >>> from repro.core.instance import Instance
     >>> index = SimilarityIndex()
-    >>> index.add("a", Instance.from_rows("R", ("X",), [("1",), ("2",)]))
-    >>> index.add("b", Instance.from_rows("R", ("X",), [("9",)]))
+    >>> _ = index.add("a", Instance.from_rows("R", ("X",), [("1",), ("2",)]))
+    >>> _ = index.add("b", Instance.from_rows("R", ("X",), [("9",)]))
     >>> [hit.name for hit in index.search(
     ...     Instance.from_rows("R", ("X",), [("1",)]), top_k=1)]
     ['a']

@@ -190,11 +190,10 @@ def read_csv(
                     for index, cell in enumerate(row)
                 ]
 
-        # Bulk ingest goes through the columnar constructor: cells are
-        # decoded once into per-attribute columns, and the instance arrives
-        # with its columnar view already built and cached.  The schema is
-        # built first so a bad header (duplicate names) raises before any
-        # data row is consumed, as the row-wise path did.
+        # Bulk ingest goes through the column-shaped constructor: cells are
+        # decoded once into per-attribute columns.  The schema is built
+        # first so a bad header (duplicate names) raises before any data
+        # row is consumed, as the row-wise path did.
         schema = RelationSchema(relation_name, tuple(header))
         columns: list[list[Value]] = [[] for _ in header]
         for decoded in decoded_rows():

@@ -33,7 +33,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from ..algorithms.signature import SignatureIndex
-from ..core.columnar import ColumnarInstance
 from ..core.instance import Instance, prepare_side
 from ..core.values import is_null
 from ..obs.metrics import counter_inc
@@ -58,9 +57,6 @@ def instance_fingerprint(instance: Instance) -> str:
     >>> instance_fingerprint(a) == instance_fingerprint(b)
     True
     """
-    view = instance._columnar
-    if view is not None and not view.overrides:
-        return _fingerprint_columnar(view)
     digest = hashlib.sha256()
     digest.update(repr(instance.name).encode())
     null_numbers: dict[str, int] = {}
@@ -79,43 +75,6 @@ def instance_fingerprint(instance: Instance) -> str:
                 else:
                     encoded = f"\x00C{type(value).__name__}:{value!r}"
                 digest.update(encoded.encode())
-    return digest.hexdigest()
-
-
-def _fingerprint_columnar(view: ColumnarInstance) -> str:
-    """Fast lane of :func:`instance_fingerprint` over a cached columnar view.
-
-    Byte-identical to the object path: the per-cell ``repr`` is computed
-    once per distinct constant code, and the columnar null codes are
-    assigned in the exact first-occurrence scan order the object path
-    numbers nulls in, so ``-code - 1`` *is* the canonical null number.
-    Only exact views qualify (``overrides`` would change a cell's repr).
-    """
-    digest = hashlib.sha256()
-    digest.update(repr(view.name).encode())
-    decode = view.decode
-    const_bytes: dict[int, bytes] = {}
-    for crel in view.relations.values():
-        digest.update(b"\x00R")
-        digest.update(repr(crel.schema.name).encode())
-        digest.update(repr(crel.schema.attributes).encode())
-        columns = crel.columns
-        arity = crel.schema.arity
-        for row in range(crel.n_rows):
-            digest.update(b"\x00T")
-            for position in range(arity):
-                code = columns[position][row]
-                if code < 0:
-                    digest.update(f"\x00N{-code - 1}".encode())
-                else:
-                    encoded = const_bytes.get(code)
-                    if encoded is None:
-                        value = decode[code]
-                        encoded = (
-                            f"\x00C{type(value).__name__}:{value!r}".encode()
-                        )
-                        const_bytes[code] = encoded
-                    digest.update(encoded)
     return digest.hexdigest()
 
 

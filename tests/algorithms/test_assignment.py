@@ -16,6 +16,7 @@ import random
 import pytest
 
 from repro import Algorithm, AssignmentOptions, Comparator, compare
+from repro.algorithms import assignment as assignment_module
 from repro.algorithms.assignment import (
     assignment_bounds,
     assignment_compare,
@@ -189,12 +190,11 @@ class TestAssignmentCompare:
         )
         assert assigned.outcome is Outcome.COMPLETED
 
-    def test_block_cap_keeps_greedy_pairs(self):
+    def test_block_cap_keeps_greedy_pairs(self, monkeypatch):
+        monkeypatch.setattr(assignment_module, "DEFAULT_MAX_BLOCK_SIZE", 1)
         left, right = trap_pair()
         options = MatchOptions.versioning()
-        capped = assignment_compare(
-            left, right, options=options, max_block_size=1
-        )
+        capped = assignment_compare(left, right, options=options)
         assert capped.similarity == pytest.approx(TRAP_GREEDY)
         assert capped.stats["assignment_blocks_skipped"] == 1
         assert not capped.stats["assignment_improved"]
@@ -305,10 +305,11 @@ class TestDispatchAndAPI:
         assert result.algorithm == "assignment"
         assert result.similarity == pytest.approx(TRAP_OPTIMAL)
 
-    def test_compare_with_typed_options(self):
+    def test_compare_with_typed_options(self, monkeypatch):
+        monkeypatch.setattr(assignment_module, "DEFAULT_MAX_BLOCK_SIZE", 1)
         left, right = trap_pair()
         result = compare(
-            left, right, AssignmentOptions(max_block_size=1),
+            left, right, AssignmentOptions(),
             options=MatchOptions.versioning(), prepare=False,
         )
         assert result.similarity == pytest.approx(TRAP_GREEDY)

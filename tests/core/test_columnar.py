@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from repro.core.columnar import ColumnarInstance, null_code, null_index
+from repro.core.columnar import null_code
 from repro.core.errors import InstanceError, SchemaError
 from repro.core.instance import Instance
 from repro.core.schema import RelationSchema, Schema
@@ -21,8 +21,9 @@ def small_instance():
 
 class TestCoding:
     def test_null_code_round_trip(self):
+        # The compatibility lane inverts a null code inline: -code - 1.
         for index in range(5):
-            assert null_index(null_code(index)) == index
+            assert -null_code(index) - 1 == index
             assert null_code(index) < 0
 
     def test_constants_coded_by_first_occurrence(self):
@@ -55,34 +56,8 @@ class TestCoding:
         assert view.relations["R"].columns[0][0] == 0
         assert view.relations["S"].columns[0][0] == 0
 
-    def test_mixed_type_equal_values_recorded_as_overrides(self):
-        instance = Instance.from_rows("R", ("A",), [(1,), (1.0,)])
-        view = instance.columns()
-        assert not view.exact
-        assert view.overrides["R"] == {(1, 0): 1.0}
-
-    def test_exact_view_has_no_overrides(self):
-        assert small_instance().columns().exact
-
 
 class TestRoundTrip:
-    def test_to_instance_reconstructs_cells_and_ids(self):
-        original = small_instance()
-        back = original.columns().to_instance()
-        assert [t.tuple_id for t in back.relation("R")] == [
-            t.tuple_id for t in original.relation("R")
-        ]
-        assert [t.values for t in back.relation("R")] == [
-            t.values for t in original.relation("R")
-        ]
-
-    def test_to_instance_patches_overrides(self):
-        original = Instance.from_rows("R", ("A",), [(1,), (1.0,)])
-        back = original.columns().to_instance()
-        values = [t.values[0] for t in back.relation("R")]
-        assert values == [1, 1.0]
-        assert [type(v) for v in values] == [int, float]
-
     def test_to_columns_from_columns_identity(self):
         original = small_instance()
         rebuilt = Instance.from_columns(
@@ -145,9 +120,12 @@ class TestFromColumns:
         assert ids == ["t1", "t2"]
 
     def test_view_is_prebuilt_and_cached(self):
+        # Bulk ingest codes nothing up front: the view is built on first use.
         built = Instance.from_columns("R", {"A": ["x"]})
-        assert built._columnar is not None
-        assert built.columns() is built._columnar
+        assert built._columnar is None
+        view = built.columns()
+        assert built._columnar is view
+        assert built.columns() is view
 
     def test_ragged_columns_rejected(self):
         with pytest.raises(InstanceError, match="ragged"):
@@ -193,77 +171,3 @@ class TestCacheLifecycle:
         # And the view being cached does not change the pickled bytes.
         fresh = small_instance()
         assert pickle.dumps(instance) == pickle.dumps(fresh)
-
-
-class TestTryAppend:
-    """``Instance.add`` patches the cached view in place when lossless."""
-
-    @staticmethod
-    def structure(view):
-        return {
-            "decode": view.decode,
-            "value_codes": view.value_codes,
-            "null_codes": view.null_codes,
-            "null_labels": [n.label for n in view.null_values],
-            "overrides": view.overrides,
-            "tables": {
-                name: (crel.tuple_ids, [list(c) for c in crel.columns])
-                for name, crel in view.relations.items()
-            },
-        }
-
-    def test_covered_append_patches_in_place(self):
-        instance = small_instance()
-        view = instance.columns()
-        # Every value of the new row is already coded: "x", 1, and N1.
-        instance.add_row("R", "t9", ("x", LabeledNull("N1")))
-        assert instance.columns() is view  # patched, not rebuilt
-        cold = ColumnarInstance.from_instance(instance)
-        assert self.structure(view) == self.structure(cold)
-
-    def test_patched_view_round_trips(self):
-        instance = small_instance()
-        instance.columns()
-        instance.add_row("R", "t9", (1, 1))
-        back = instance.columns().to_instance()
-        assert {t.tuple_id: t.values for t in back.tuples()} == {
-            t.tuple_id: t.values for t in instance.tuples()
-        }
-
-    def test_fresh_constant_invalidates(self):
-        instance = small_instance()
-        view = instance.columns()
-        instance.add_row("R", "t9", ("unseen", 1))
-        rebuilt = instance.columns()
-        assert rebuilt is not view
-        assert self.structure(rebuilt) == self.structure(
-            ColumnarInstance.from_instance(instance)
-        )
-
-    def test_fresh_null_label_invalidates(self):
-        instance = small_instance()
-        view = instance.columns()
-        instance.add_row("R", "t9", ("x", LabeledNull("FRESH")))
-        assert instance.columns() is not view
-
-    def test_override_needing_value_invalidates(self):
-        # True == 1 in dict lookups, but reconstructing True from the
-        # stored 1 would be lossy — must fall back to a cold rebuild.
-        instance = small_instance()
-        view = instance.columns()
-        instance.add_row("R", "t9", ("x", True))
-        rebuilt = instance.columns()
-        assert rebuilt is not view
-        assert rebuilt.to_instance().get_tuple("t9").values == ("x", True)
-
-    def test_failed_try_append_leaves_view_untouched(self):
-        from repro.core.tuples import Tuple
-
-        instance = small_instance()
-        view = instance.columns()
-        before = self.structure(view)
-        appended = view.try_append(
-            Tuple("t9", instance.schema.relation("R"), ("unseen", 1))
-        )
-        assert not appended
-        assert self.structure(view) == before

@@ -107,12 +107,6 @@ class TestIntegrity:
         assert fk_violations(instance) == {}
         assert pk_duplicates(instance) == {}
 
-    def test_clean_instance_is_exactly_columnar(self):
-        # No generated value may force a coder override (e.g. a float
-        # comparing equal to an integer key) — overrides would knock the
-        # whole instance off the exact columnar fast lanes.
-        assert generate_tpch(SF, seed=2).columns().exact
-
     def test_violation_injection_plants_both_kinds(self):
         instance = generate_tpch(SF, seed=2, violation_rate=0.02)
         assert sum(fk_violations(instance).values()) > 0
