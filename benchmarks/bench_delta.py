@@ -112,7 +112,7 @@ def run(args) -> dict:
     print(f"corpus: TPC-H sf={args.sf} tables={','.join(args.tables)} "
           f"({len(right)} tuples/side)")
 
-    session = DeltaSession(left, right, params=params)
+    session = DeltaSession(left, right)
     maintainer = SketchMaintainer(right, params)
     warm_lsh = LSHIndex(params)
     warm_lsh.add("right", maintainer.sketch_for(right).minhash)

@@ -430,6 +430,17 @@ class _MatchState:
         self.matched_left: set[str] = set()
         self.matched_right: set[str] = set()
 
+    @property
+    def phases(self) -> tuple[str, ...]:
+        """The signature step's greedy phases, as :meth:`admissible` policies.
+
+        With alignment on, phase A commits only merge-free pairs (building
+        reliable value-mapping anchors) and phase B then allows merging
+        pairs under the coverage rule.  With alignment off, a single
+        unrestricted phase reproduces the paper's plain greedy.
+        """
+        return ("zero", "coverage") if self.align_preference else ("any",)
+
     def order_candidates(
         self, candidates: list[Tuple], probe: Tuple, probe_is_right: bool
     ) -> list[Tuple]:
@@ -624,12 +635,46 @@ def _find_signature_matches(
     return added
 
 
+def _signature_step(
+    state: _MatchState, left_index: SignatureIndex, right_index: SignatureIndex
+) -> int:
+    """Steps 1–2 of the signature algorithm: signature-based matches.
+
+    Runs both ``FindSigMatches`` passes (Alg. 3 lines 3–4) per relation,
+    most signature-selective relation first, once per greedy phase of
+    :attr:`_MatchState.phases`.  Returns the number of pairs added.
+    """
+    added = 0
+    ordered_relations = _relation_order(state, left_index, right_index)
+    for policy in state.phases:
+        for relation_name in ordered_relations:
+            left_signatures = left_index.relation(relation_name)
+            right_signatures = right_index.relation(relation_name)
+            # Pass 1: index left, probe with right (Alg. 3 line 3).
+            added += _find_signature_matches(
+                state, left_signatures.probe_order,
+                right_signatures.probe_order,
+                indexed_is_left=True, policy=policy,
+                indexed_signatures=left_signatures,
+                probe_signatures=right_signatures,
+            )
+            # Pass 2: index right, probe with left (Alg. 3 line 4).
+            added += _find_signature_matches(
+                state, right_signatures.probe_order,
+                left_signatures.probe_order,
+                indexed_is_left=False, policy=policy,
+                indexed_signatures=right_signatures,
+                probe_signatures=left_signatures,
+            )
+    return added
+
+
 def _completion_step(state: _MatchState) -> int:
     """Step 3 of the signature algorithm: greedy non-signature matches.
 
-    Runs ``CompatibleTuples`` on the tuples still eligible for new pairs and
-    confirms each first consistent extension (Alg. 3 lines 5–13).
-    Returns the number of pairs added.
+    Completes each relation, in schema order, over the tuples still
+    eligible for new pairs (:func:`_complete_relation`), and stops at the
+    first tripped budget.  Returns the number of pairs added.
     """
     options = state.options
     added = 0
@@ -647,30 +692,45 @@ def _completion_step(state: _MatchState) -> int:
                 options.right_injective and t.tuple_id in state.matched_right
             )
         ]
-        if not left_pool or not right_pool:
+        added += _complete_relation(state, left_pool, right_pool)
+        if state.control.interrupted:
+            break  # budget tripped: partial greedy match stands
+    return added
+
+
+def _complete_relation(
+    state: _MatchState, left_pool: Sequence[Tuple], right_pool: Sequence[Tuple]
+) -> int:
+    """Alg. 3 lines 5–13 over one relation's pools of candidate tuples.
+
+    Runs ``CompatibleTuples`` on the pools and confirms each left tuple's
+    first consistent extension.  Returns the number of pairs added; a
+    tripped budget ends the sweep early.
+    """
+    if not left_pool or not right_pool:
+        return 0
+    options = state.options
+    right_lookup = {t.tuple_id: t for t in right_pool}
+    compatible = compatible_tuples(left_pool, right_pool, right_lookup)
+    policy = "coverage" if state.align_preference else "any"
+    added = 0
+    # Most-constrained (most constants) left tuples commit first.
+    for t in sorted(left_pool, key=lambda x: (-x.constant_count(), x.tuple_id)):
+        if not state.control.spend():
+            break
+        if options.left_injective and t.tuple_id in state.matched_left:
             continue
-        right_lookup = {t.tuple_id: t for t in right_pool}
-        compatible = compatible_tuples(left_pool, right_pool, right_lookup)
-        policy = "coverage" if state.align_preference else "any"
-        # Most-constrained (most constants) left tuples commit first.
-        for t in sorted(
-            left_pool, key=lambda x: (-x.constant_count(), x.tuple_id)
+        candidates = [
+            right_lookup[right_id]
+            for right_id in compatible.get(t.tuple_id, [])
+        ]
+        for t_prime in state.order_candidates(
+            candidates, t, probe_is_right=False
         ):
-            if not state.control.spend():
-                return added  # budget tripped: partial greedy match stands
-            if options.left_injective and t.tuple_id in state.matched_left:
-                continue
-            candidates = [
-                right_lookup[right_id]
-                for right_id in compatible.get(t.tuple_id, [])
-            ]
-            for t_prime in state.order_candidates(
-                candidates, t, probe_is_right=False
-            ):
-                if state.try_add(t, t_prime, policy):
-                    added += 1
-                    if options.left_injective:
-                        break  # Alg. 3 line 13: next left tuple
+            if state.try_add(t, t_prime, policy):
+                added += 1
+                if options.left_injective:
+                    break  # Alg. 3 line 13: next left tuple
     return added
 
 
@@ -774,37 +834,10 @@ def signature_compare(
     )
     spends_before = state.control.nodes
 
-    signature_pairs = 0
     with span(
         "signature.compare", align_preference=align_preference
     ) as compare_span:
-        # With alignment on, the signature phase runs twice: phase A commits
-        # only merge-free pairs (building reliable value-mapping anchors),
-        # phase B then allows merging pairs under the coverage rule.  With
-        # alignment off, a single unrestricted phase reproduces the paper's
-        # plain greedy.
-        phases = ("zero", "coverage") if align_preference else ("any",)
-        ordered_relations = _relation_order(state, left_index, right_index)
-        for policy in phases:
-            for relation_name in ordered_relations:
-                left_signatures = left_index.relation(relation_name)
-                right_signatures = right_index.relation(relation_name)
-                # Pass 1: index left, probe with right (Alg. 3 line 3).
-                signature_pairs += _find_signature_matches(
-                    state, left_signatures.probe_order,
-                    right_signatures.probe_order,
-                    indexed_is_left=True, policy=policy,
-                    indexed_signatures=left_signatures,
-                    probe_signatures=right_signatures,
-                )
-                # Pass 2: index right, probe with left (Alg. 3 line 4).
-                signature_pairs += _find_signature_matches(
-                    state, right_signatures.probe_order,
-                    left_signatures.probe_order,
-                    indexed_is_left=False, policy=policy,
-                    indexed_signatures=right_signatures,
-                    probe_signatures=left_signatures,
-                )
+        signature_pairs = _signature_step(state, left_index, right_index)
         pairs_after_signature = list(state.mapping)
 
         completion_pairs = _completion_step(state)

@@ -232,7 +232,6 @@ class Comparator:
         *,
         options: MatchOptions | None = None,
         align_preference: bool = True,
-        params=None,
         fallback_fraction: float | None = None,
     ):
         """Open a warm :class:`~repro.delta.DeltaSession` for this pair.
@@ -254,7 +253,6 @@ class Comparator:
             right,
             self.options if options is None else options,
             align_preference=align_preference,
-            params=params,
             fallback_fraction=(
                 DEFAULT_FALLBACK_FRACTION
                 if fallback_fraction is None

@@ -3,13 +3,17 @@
 A :class:`DeltaSession` keeps the full greedy matching state of one
 left/right comparison alive — the growing :class:`~repro.algorithms.unifier.Unifier`,
 the committed tuple mapping, per-pair scores, and a mutable signature
-index over the evolving right side — so that after a
+index over the evolving right side.  The session starts (and falls back
+to) the signature algorithm run by
+:func:`~repro.algorithms.signature.signature_compare`'s own steps, so a
+cold start commits exactly its pairs.  After a
 :class:`~repro.delta.batch.DeltaBatch` mutates the right instance, only
 the disturbed part of the match is recomputed:
 
 * pairs whose right tuple was deleted or updated are dropped;
 * the freed left tuples and the new/updated right tuples are re-probed
-  through the signature phases and a *restricted* completion step;
+  through the same signature and completion helpers, restricted to the
+  disturbed tuples;
 * pair scores are repaired incrementally: a committed pair's score only
   depends on the value-mapping classes of its null cells, so the session
   mirrors the unifier's class structure in a lightweight union-find and
@@ -51,16 +55,18 @@ from ..algorithms.result import ComparisonResult
 from ..algorithms.signature import (
     MutableSignatureIndex,
     SignatureIndex,
+    _complete_relation,
+    _completion_step,
     _find_signature_matches,
     _MatchState,
     _relation_order,
+    _signature_step,
 )
-from ..algorithms.compatibility import compatible_tuples
 from ..core.errors import DeltaError
 from ..core.instance import Instance
 from ..core.tuples import Tuple
 from ..core.values import LabeledNull, is_null
-from ..index.sketch import IndexParams, InstanceSketch, similarity_upper_bound
+from ..index.sketch import IndexParams, similarity_upper_bound
 from ..mappings.constraints import MatchOptions
 from ..scoring.sizes import normalization_denominator
 from .batch import OP_DELETE, OP_INSERT, DeltaBatch
@@ -167,32 +173,18 @@ class _ClassTracker:
 class _ObservedState(_MatchState):
     """A :class:`_MatchState` that mirrors committed pairs into a session.
 
-    ``try_add`` replicates the parent's guard sequence (blocked →
-    duplicate → admissible → unify) so the session only ever observes
-    pairs that actually committed; failed attempts roll the unifier back
-    and must leave the class tracker untouched.
+    Only pairs that actually committed are observed; failed attempts roll
+    the unifier back and must leave the class tracker untouched.
     """
 
-    def __init__(self, *args, **kwargs) -> None:
+    def __init__(self, session: "DeltaSession", *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.session: "DeltaSession | None" = None
+        self.session = session
 
     def try_add(self, t: Tuple, t_prime: Tuple, policy: str = "any") -> bool:
-        session = self.session
-        if session is None:
-            return super().try_add(t, t_prime, policy)
-        if self.blocked(t.tuple_id, t_prime.tuple_id):
+        if not super().try_add(t, t_prime, policy):
             return False
-        if (t.tuple_id, t_prime.tuple_id) in self.mapping:
-            return False
-        if not self.admissible(t, t_prime, policy):
-            return False
-        if not self.unifier.try_unify_tuples(t, t_prime):
-            return False
-        self.mapping.add(t.tuple_id, t_prime.tuple_id)
-        self.matched_left.add(t.tuple_id)
-        self.matched_right.add(t_prime.tuple_id)
-        session._observe_pair(t, t_prime)
+        self.session._observe_pair(t, t_prime)
         return True
 
 
@@ -205,9 +197,10 @@ class DeltaSession:
     == "signature-delta"`` and delta-specific stats (``delta_mode``,
     ``staleness_bound``, ``certified_exact``, pair churn counters).
 
-    Construct with :meth:`DeltaSession.cold` to run the full greedy
-    matching once, or :meth:`DeltaSession.from_result` to warm-start from
-    an existing result's match without re-running the greedy search.
+    The constructor runs the signature algorithm once, committing exactly
+    :func:`~repro.algorithms.signature.signature_compare`'s pairs, and
+    keeps the state warm; :meth:`DeltaSession.from_result` warm-starts
+    from an existing result's match without re-running the greedy search.
     """
 
     def __init__(
@@ -217,20 +210,32 @@ class DeltaSession:
         options: MatchOptions | None = None,
         *,
         align_preference: bool = True,
-        params: IndexParams | None = None,
         fallback_fraction: float = DEFAULT_FALLBACK_FRACTION,
-        left_index: SignatureIndex | None = None,
         _defer_matching: bool = False,
     ) -> None:
-        self._init_core(
-            left,
-            right,
-            options,
-            align_preference=align_preference,
-            params=params,
-            fallback_fraction=fallback_fraction,
-            left_index=left_index,
-        )
+        if options is None:
+            options = MatchOptions.general()
+        left.assert_comparable_with(right)
+        self.left = left
+        self.options = options
+        self.align_preference = align_preference
+        self.fallback_fraction = fallback_fraction
+        self._left_index = SignatureIndex.build(left)
+        self._left_ids = left.ids()
+        self._left_nulls = left.vars()
+        self._left_sketch = SketchMaintainer(
+            left, IndexParams(), track_minhash=False
+        ).materialize()
+        self.last_result: ComparisonResult | None = None
+        self._reset_right_state(right)
+        # Relation priority fixed at session start: warm advances only
+        # reorder *within* this cold ordering, keeping runs deterministic.
+        self._relation_priority = {
+            name: position
+            for position, name in enumerate(
+                _relation_order(self._state, self._left_index, self._right_index)
+            )
+        }
         if not _defer_matching:
             started = time.perf_counter()
             self._run_cold_matching()
@@ -239,29 +244,8 @@ class DeltaSession:
                 started, mode=MODE_COLD, batch=None
             )
 
-    # -- construction -----------------------------------------------------
-
     @classmethod
-    def cold(
-        cls,
-        left: Instance,
-        right: Instance,
-        options: MatchOptions | None = None,
-        **kwargs,
-    ) -> "DeltaSession":
-        """Run the full signature algorithm once and keep the state warm."""
-        return cls(left, right, options, **kwargs)
-
-    @classmethod
-    def from_result(
-        cls,
-        result: ComparisonResult,
-        *,
-        align_preference: bool = True,
-        params: IndexParams | None = None,
-        fallback_fraction: float = DEFAULT_FALLBACK_FRACTION,
-        left_index: SignatureIndex | None = None,
-    ) -> "DeltaSession":
+    def from_result(cls, result: ComparisonResult) -> "DeltaSession":
         """Warm-start from an existing result's match.
 
         The committed pairs are replayed through a fresh unifier — the
@@ -273,14 +257,7 @@ class DeltaSession:
         """
         match = result.match
         session = cls(
-            match.left,
-            match.right,
-            result.options,
-            align_preference=align_preference,
-            params=params,
-            fallback_fraction=fallback_fraction,
-            left_index=left_index,
-            _defer_matching=True,
+            match.left, match.right, result.options, _defer_matching=True
         )
         state = session._state
         for left_id, right_id in sorted(match.m):
@@ -297,62 +274,18 @@ class DeltaSession:
         )
         return session
 
-    def _init_core(
-        self,
-        left: Instance,
-        right: Instance,
-        options: MatchOptions | None,
-        *,
-        align_preference: bool,
-        params: IndexParams | None,
-        fallback_fraction: float,
-        left_index: SignatureIndex | None,
-    ) -> None:
-        if options is None:
-            options = MatchOptions.general()
-        left.assert_comparable_with(right)
-        self.left = left
-        self.right = right
-        self.options = options
-        self.align_preference = align_preference
-        self.params = params if params is not None else IndexParams()
-        self.fallback_fraction = fallback_fraction
-        if left_index is None:
-            left_index = SignatureIndex.build(left)
-        elif not left_index.matches(left):
-            raise DeltaError(
-                "left_index was not built from the left instance"
-            )
-        self._left_index = left_index
-        self._left_ids = left.ids()
-        self._left_nulls = left.vars()
-        self._left_sketch = SketchMaintainer(
-            left, self.params, track_minhash=False
-        ).materialize()
-        self.last_result: ComparisonResult | None = None
-        self._reset_right_state(right)
-        # Relation priority fixed at session start: warm advances only
-        # reorder *within* this cold ordering, keeping runs deterministic.
-        self._relation_priority = {
-            name: position
-            for position, name in enumerate(
-                _relation_order(self._state, self._left_index, self._right_index)
-            )
-        }
-
     def _reset_right_state(self, right: Instance) -> None:
         """(Re)build all state that depends on the right instance."""
         self.right = right
         self._right_index = MutableSignatureIndex.build(right)
         self._right_maintainer = SketchMaintainer(
-            right, self.params, track_minhash=False
+            right, IndexParams(), track_minhash=False
         )
         self._right_sketch = self._right_maintainer.materialize()
         self._state = _ObservedState(
-            self.left, right, self.options,
+            self, self.left, right, self.options,
             align_preference=self.align_preference,
         )
-        self._state.session = self
         self._tracker = _ClassTracker()
         self._pairs: dict[tuple[str, str], tuple[Tuple, Tuple]] = {}
         self._pair_scores: dict[tuple[str, str], float] = {}
@@ -526,77 +459,10 @@ class DeltaSession:
 
     # -- matching ---------------------------------------------------------
 
-    def _phases(self) -> tuple[str, ...]:
-        return ("zero", "coverage") if self.align_preference else ("any",)
-
     def _run_cold_matching(self) -> None:
-        """The full signature algorithm, mirroring ``signature_compare``."""
-        state = self._state
-        ordered = _relation_order(state, self._left_index, self._right_index)
-        for policy in self._phases():
-            for name in ordered:
-                left_signatures = self._left_index.relation(name)
-                right_signatures = self._right_index.relation(name)
-                _find_signature_matches(
-                    state, left_signatures.probe_order,
-                    right_signatures.probe_order,
-                    indexed_is_left=True, policy=policy,
-                    indexed_signatures=left_signatures,
-                    probe_signatures=right_signatures,
-                )
-                _find_signature_matches(
-                    state, right_signatures.probe_order,
-                    left_signatures.probe_order,
-                    indexed_is_left=False, policy=policy,
-                    indexed_signatures=right_signatures,
-                    probe_signatures=left_signatures,
-                )
-        for name in ordered:
-            left_pool = self._eligible_left(self.left.relation(name))
-            right_pool = self._eligible_right(self.right.relation(name))
-            self._complete_pairs(left_pool, right_pool)
-
-    def _eligible_left(self, tuples: Iterable[Tuple]) -> list[Tuple]:
-        matched = self._state.matched_left
-        if self.options.left_injective:
-            return [t for t in tuples if t.tuple_id not in matched]
-        return list(tuples)
-
-    def _eligible_right(self, tuples: Iterable[Tuple]) -> list[Tuple]:
-        matched = self._state.matched_right
-        if self.options.right_injective:
-            return [t for t in tuples if t.tuple_id not in matched]
-        return list(tuples)
-
-    def _complete_pairs(
-        self, left_pool: Sequence[Tuple], right_pool: Sequence[Tuple]
-    ) -> int:
-        """One completion sweep, mirroring the cold ``_completion_step``."""
-        state = self._state
-        options = self.options
-        if not left_pool or not right_pool:
-            return 0
-        right_lookup = {t.tuple_id: t for t in right_pool}
-        compatible = compatible_tuples(left_pool, right_pool, right_lookup)
-        policy = "coverage" if self.align_preference else "any"
-        added = 0
-        for t in sorted(
-            left_pool, key=lambda x: (-x.constant_count(), x.tuple_id)
-        ):
-            if options.left_injective and t.tuple_id in state.matched_left:
-                continue
-            candidates = [
-                right_lookup[right_id]
-                for right_id in compatible.get(t.tuple_id, [])
-            ]
-            for t_prime in state.order_candidates(
-                candidates, t, probe_is_right=False
-            ):
-                if state.try_add(t, t_prime, policy):
-                    added += 1
-                    if options.left_injective:
-                        break
-        return added
+        """The signature algorithm through ``signature_compare``'s steps."""
+        _signature_step(self._state, self._left_index, self._right_index)
+        _completion_step(self._state)
 
     # -- delta application ------------------------------------------------
 
@@ -685,7 +551,7 @@ class DeltaSession:
             set(changed_right) | set(freed_left_by_rel),
             key=lambda name: self._relation_priority.get(name, len(self._relation_priority)),
         )
-        for policy in self._phases():
+        for policy in state.phases:
             for name in touched:
                 left_signatures = self._left_index.relation(name)
                 right_signatures = self._right_index.relation(name)
@@ -721,7 +587,7 @@ class DeltaSession:
                     for t in self.left.relation(name)
                     if t.tuple_id not in matched_left
                 ]
-                self._complete_pairs(left_pool, changed)
+                _complete_relation(state, left_pool, changed)
             freed = [
                 t
                 for t in freed_left_by_rel.get(name, ())
@@ -733,7 +599,7 @@ class DeltaSession:
                     for t in self.right.relation(name)
                     if t.tuple_id not in matched_right
                 ]
-                self._complete_pairs(freed, right_pool)
+                _complete_relation(state, freed, right_pool)
 
         # 5. Repair scores and build the warm result.
         pairs_added, rescored = self._rescore_dirty(removed_pairs)

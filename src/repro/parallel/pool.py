@@ -31,7 +31,6 @@ from ..runtime.isolation import WorkerHandle, WorkerLimits, reap_worker, start_w
 from ..runtime.retry import (
     DEFAULT_DECISIONS,
     AttemptRecord,
-    Decision,
     FailureClass,
     RetryPolicy,
     _STATUS_CLASSES,
@@ -76,8 +75,6 @@ class WorkerPool:
     retry:
         Backoff schedule; a task's attempt ``n`` failure re-enqueues it no
         earlier than ``delay(n)`` from now, without blocking other tasks.
-    decisions:
-        Per-failure-class overrides of the default decision table.
     validate:
         Optional predicate on an ``ok`` payload; a falsy validation is
         treated as a transient ``garbage`` failure (this also catches the
@@ -91,7 +88,6 @@ class WorkerPool:
         jobs: int,
         limits: WorkerLimits | None = None,
         retry: RetryPolicy | None = None,
-        decisions: dict[FailureClass, Decision] | None = None,
         validate: Callable[[Any], bool] | None = None,
         out: Callable[[str], None] | None = None,
     ) -> None:
@@ -100,9 +96,6 @@ class WorkerPool:
         self.jobs = jobs
         self.limits = limits or WorkerLimits()
         self.retry = retry or RetryPolicy()
-        self.decisions = dict(DEFAULT_DECISIONS)
-        if decisions:
-            self.decisions.update(decisions)
         self.validate = validate
         self.out = out or (lambda _line: None)
 
@@ -239,7 +232,7 @@ class WorkerPool:
             status, payload = "garbage", "result failed validation"
 
         failure_class = _STATUS_CLASSES[status]
-        decision = self.decisions[failure_class]
+        decision = DEFAULT_DECISIONS[failure_class]
         record = AttemptRecord(
             task.attempt, status, failure_class.value, str(payload),
             elapsed_seconds=elapsed,

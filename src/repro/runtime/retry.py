@@ -108,7 +108,8 @@ DEFAULT_DECISIONS: dict[FailureClass, Decision] = {
     FailureClass.FATAL: Decision(retry=False, on_exhausted="fail"),
     FailureClass.INTERRUPT: Decision(retry=False, on_exhausted="fail"),
 }
-"""The default decision table (see the module docstring's rationale)."""
+"""The decision table every executor and worker pool follows (fixed; see
+the module docstring's rationale)."""
 
 
 @dataclass(frozen=True)
@@ -263,7 +264,6 @@ class Executor:
         isolate: bool = False,
         limits: WorkerLimits | None = None,
         retry: RetryPolicy | None = None,
-        decisions: dict[FailureClass, Decision] | None = None,
         fault_plan: FaultPlan | None = None,
         sleep: Callable[[float], None] = time.sleep,
         out: Callable[[str], None] | None = None,
@@ -271,9 +271,6 @@ class Executor:
         self.isolate = isolate
         self.limits = limits or WorkerLimits()
         self.retry = retry or RetryPolicy()
-        self.decisions = dict(DEFAULT_DECISIONS)
-        if decisions:
-            self.decisions.update(decisions)
         self.fault_plan = fault_plan
         self.sleep = sleep
         self.out = out or (lambda _line: None)
@@ -338,7 +335,7 @@ class Executor:
                 status, payload = "garbage", "result failed validation"
 
             failure_class = _STATUS_CLASSES[status]
-            decision = self.decisions[failure_class]
+            decision = DEFAULT_DECISIONS[failure_class]
             record = AttemptRecord(
                 attempt, status, failure_class.value, str(payload),
                 elapsed_seconds=elapsed,
@@ -360,7 +357,7 @@ class Executor:
             break
 
         outcome = STATUS_OUTCOMES.get(last_status, Outcome.CRASHED)
-        decision = self.decisions[_STATUS_CLASSES[last_status]]
+        decision = DEFAULT_DECISIONS[_STATUS_CLASSES[last_status]]
         if decision.on_exhausted == "degrade" and degrade is not None:
             self.out(
                 f"[{label}] {last_status} after {len(attempts)} attempt(s); "

@@ -20,6 +20,7 @@ import pytest
 from repro.algorithms.signature import signature_compare
 from repro.core.errors import DeltaError
 from repro.core.instance import Instance
+from repro.core.schema import RelationSchema, Schema
 from repro.core.values import LabeledNull
 from repro.delta.batch import DeltaBatch, TupleOp
 from repro.delta.engine import (
@@ -41,9 +42,42 @@ OPTION_SETS = [
     ("general-noalign", MatchOptions.general(), False),
 ]
 
+PRESETS = ["general", "versioning", "data_repair", "universal_vs_core",
+           "universal_vs_universal"]
+
+SHARED_SCHEMA = Schema(
+    (RelationSchema("R", ("A0", "A1")), RelationSchema("S", ("B0", "B1")))
+)
+
 
 def close(a, b):
     return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
+
+
+def assert_same_match(result, cold):
+    """The session committed exactly ``signature_compare``'s pairs."""
+    assert sorted(result.match.m) == sorted(cold.match.m)
+    assert close(result.similarity, cold.similarity)
+
+
+def shared_value_pair():
+    """A pair whose relations ``R`` and ``S`` share ``"b"``, ``NL1``, ``NR2``.
+
+    No pair shares a maximal signature, so completion commits every pair.
+    Completing ``R`` before ``S`` (schema order) binds ``NR2`` to ``"b"``
+    and ``NL1`` to ``"a"`` through ``rr0``, which leaves ``rs0``
+    unmatched; completing ``S`` first commits ``(ls0, rs0)`` instead, for
+    a different score.
+    """
+    nl0, nl1, nr2 = LabeledNull("NL0"), LabeledNull("NL1"), LabeledNull("NR2")
+    left = Instance(SHARED_SCHEMA, name="l")
+    left.add_row("R", "lr0", ("b", nl1))
+    left.add_row("R", "lr1", ("b", nl0))
+    left.add_row("S", "ls0", ("b", nl1))
+    right = Instance(SHARED_SCHEMA, name="r")
+    right.add_row("R", "rr0", (nr2, "a"))
+    right.add_row("S", "rs0", (nr2, "b"))
+    return left, right
 
 
 class TestColdStart:
@@ -55,13 +89,44 @@ class TestColdStart:
         right = rand_instance(rng, "r", "NR", 10)
         cold = signature_compare(left, right, options,
                                  align_preference=align)
-        session = DeltaSession.cold(left, right, options,
-                                    align_preference=align)
+        session = DeltaSession(left, right, options,
+                               align_preference=align)
         result = session.last_result
         assert result.stats["delta_mode"] == MODE_COLD
-        assert close(result.similarity, cold.similarity)
+        assert_same_match(result, cold)
         assert close(result.similarity,
                      score_match(result.match, lam=options.lam))
+
+    @pytest.mark.parametrize("align", [True, False],
+                             ids=["align", "noalign"])
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_cold_start_completes_in_schema_order(self, preset, align):
+        """Constants and nulls shared across relations make the completion
+        order visible: ``signature_compare`` completes relations in schema
+        order, and so must the session."""
+        options = getattr(MatchOptions, preset)()
+        left, right = shared_value_pair()
+        cold = signature_compare(left, right, options,
+                                 align_preference=align)
+        result = DeltaSession(left, right, options,
+                              align_preference=align).last_result
+        assert result.stats["delta_mode"] == MODE_COLD
+        assert_same_match(result, cold)
+
+    def test_cold_fallback_completes_in_schema_order(self):
+        left, right = shared_value_pair()
+        start = Instance(SHARED_SCHEMA, name="r")
+        start.add_row("R", "rr0", ("z", "z"))
+        start.add_row("S", "rs0", ("z", "z"))
+        session = DeltaSession(left, start)
+        batch = DeltaBatch([
+            TupleOp("update", t.relation.name, t.tuple_id, values=t.values,
+                    old_values=("z", "z"))
+            for t in right.tuples()
+        ])
+        result = session.advance(batch)
+        assert result.stats["delta_mode"] == MODE_COLD_FALLBACK
+        assert_same_match(result, signature_compare(left, right))
 
     def test_result_metadata(self, rng):
         left = rand_instance(rng, "l", "NL", 6)
@@ -160,8 +225,7 @@ class TestAdvance:
         )
         result = session.advance(batch)
         assert result.stats["delta_mode"] == MODE_COLD_FALLBACK
-        cold = signature_compare(left, batch.apply(right))
-        assert close(result.similarity, cold.similarity)
+        assert_same_match(result, signature_compare(left, batch.apply(right)))
 
     def test_chained_advances_after_fallback_stay_valid(self, rng):
         left = rand_instance(rng, "l", "NL", 8)
@@ -176,8 +240,7 @@ class TestAdvance:
             result = session.advance(batch)
             current = batch.apply(current)
             assert result.stats["delta_mode"] == MODE_COLD_FALLBACK
-            cold = signature_compare(left, current)
-            assert close(result.similarity, cold.similarity)
+            assert_same_match(result, signature_compare(left, current))
 
 
 class TestFromResult:
