@@ -3,17 +3,23 @@
 
 Alg. 4 line 6 literally enumerates the powerset of a probe tuple's constant
 attributes.  Our implementation probes only the distinct null-position
-patterns of the indexed side.  This bench quantifies the gap at arity 9
-(Bikeshare-like) — at arity 19+ the powerset variant is simply infeasible.
+patterns of the indexed side, each compiled once per index into a plan
+(constant-position bitmask plus positional key).  This bench quantifies the
+gap at arity 9 (Bikeshare-like) — at arity 19+ the powerset variant is
+simply infeasible.
 """
 
 from itertools import combinations
 
 import pytest
 
+from repro.algorithms.signature import (
+    SignatureIndex,
+    _constant_mask,
+    signature_of,
+)
 from repro.datagen.perturb import PerturbationConfig, perturb
 from repro.datagen.synthetic import generate_dataset
-from repro.algorithms.signature import maximal_signature, signature_of
 
 
 @pytest.fixture(scope="module")
@@ -24,28 +30,26 @@ def scenario():
     )
 
 
-def _build_sigmap(tuples):
-    sigmap = {}
-    patterns = set()
-    for t in tuples:
-        sigmap.setdefault(maximal_signature(t), []).append(t.tuple_id)
-        patterns.add(frozenset(t.constant_attributes()))
-    return sigmap, sorted(patterns, key=lambda p: -len(p))
+@pytest.fixture(scope="module")
+def left_signatures(scenario):
+    """The indexed side's signature map and plans, as Alg. 4 probes them."""
+    (name,) = scenario.source.schema.relation_names()
+    return SignatureIndex.build(scenario.source).relation(name)
 
 
-def test_pattern_keyed_probing(benchmark, scenario):
-    """The implemented strategy: one lookup per left-side null pattern."""
-    left = list(scenario.source.tuples())
+def test_pattern_keyed_probing(benchmark, scenario, left_signatures):
+    """The implemented strategy: one lookup per left-side pattern plan."""
     right = list(scenario.target.tuples())
-    sigmap, patterns = _build_sigmap(left)
+    sigmap, plans = left_signatures.sigmap, left_signatures.plans
 
     def run():
         hits = 0
         for probe in right:
-            ground = set(probe.constant_attributes())
-            for pattern in patterns:
-                if pattern <= ground and (
-                    signature_of(probe, pattern) in sigmap
+            values = probe.values
+            ground = _constant_mask(values)
+            for mask, pairs in plans:
+                if mask & ground == mask and (
+                    tuple([(a, values[p]) for a, p in pairs]) in sigmap
                 ):
                     hits += 1
         return hits
@@ -53,15 +57,14 @@ def test_pattern_keyed_probing(benchmark, scenario):
     assert benchmark(run) > 0
 
 
-def test_powerset_probing(benchmark, scenario):
+def test_powerset_probing(benchmark, scenario, left_signatures):
     """The literal Alg. 4: enumerate every subset of the probe's constants.
 
     Run on a small slice only — the point of the bench is the per-tuple
     cost blowup (2^9 subsets at Bikeshare's arity).
     """
-    left = list(scenario.source.tuples())
     right = list(scenario.target.tuples())[:40]
-    sigmap, _patterns = _build_sigmap(left)
+    sigmap = left_signatures.sigmap
 
     def run():
         hits = 0

@@ -14,13 +14,21 @@ The signature algorithm greedily builds a single instance match:
    matched via :func:`~repro.algorithms.compatibility.compatible_tuples`,
    confirming the first extension consistent with the growing match.
 
-Implementation note — *pattern-keyed probing*: Alg. 4 line 6 enumerates the
-powerset of a probe tuple's constant attributes, which is infeasible at arity
-19+.  Only subsets equal to some indexed tuple's maximal constant-attribute
-set can hit the signature map, so we enumerate the distinct *null-position
-patterns* occurring on the indexed side (largest first), keeping the step
-combinatorial in the number of columns containing nulls — the complexity the
-paper states for Case 2 — instead of in the arity.
+Implementation note — *pattern-keyed, position-keyed probing*: Alg. 4 line 6
+enumerates the powerset of a probe tuple's constant attributes, which is
+infeasible at arity 19+.  Only subsets equal to some indexed tuple's maximal
+constant-attribute set can hit the signature map, so we enumerate the distinct
+*null-position patterns* occurring on the indexed side (largest first),
+keeping the step combinatorial in the number of columns containing nulls —
+the complexity the paper states for Case 2 — instead of in the arity.
+
+Each index compiles every pattern once into a *plan*: the bitmask of the
+pattern's constant positions and its ``(attribute, position)`` pairs in
+lexicographic attribute order.  A probe computes its own constant-position
+mask once per scan; a pattern applies iff ``mask & ground == mask``, and its
+key is read off the probe's values by position.  The keys are exactly the
+``((attr, value), ...)`` tuples :func:`signature_of` builds, which stays as
+the Def. 6.2 oracle the tests check the plans against.
 
 The four cases of Sec. 6.2 fall out of :class:`~repro.mappings.MatchOptions`:
 general (Case 1), fully signature-based inputs (Case 2, the completion step
@@ -31,11 +39,13 @@ from __future__ import annotations
 
 import bisect
 import time
+import weakref
 from typing import Iterable, Sequence
 
-from ..core.instance import Instance
+from ..core.instance import Instance, RelationInstance
+from ..core.schema import RelationSchema
 from ..core.tuples import Tuple
-from ..core.values import Value, is_constant
+from ..core.values import LabeledNull, Value
 from ..core.values import is_null as is_null_value
 from ..mappings.constraints import MatchOptions
 from ..mappings.instance_match import InstanceMatch
@@ -52,6 +62,17 @@ from .unifier import Unifier
 SignatureKey = tuple[tuple[str, Value], ...]
 """Hashable signature: ``((attr, const), ...)`` in lexicographic attr order."""
 
+Positions = tuple[tuple[str, int], ...]
+"""``(attribute, position)`` pairs in lexicographic attribute order."""
+
+Plan = tuple[int, Positions]
+"""A null pattern compiled for probing: ``(mask, pairs)``.
+
+``mask`` has bit ``p`` set for every constant position ``p`` of the
+pattern, and ``pairs`` lists those positions with their attributes, so
+``tuple((a, t.values[p]) for a, p in pairs)`` is
+``signature_of(t, pattern)``."""
+
 
 def signature_of(t: Tuple, attributes: Iterable[str]) -> SignatureKey:
     """``S[t, A]``: the signature of ``t`` on ``attributes`` (Def. 6.2).
@@ -66,33 +87,100 @@ def maximal_signature(t: Tuple) -> SignatureKey:
     return signature_of(t, t.constant_attributes())
 
 
+def _lexicographic_positions(schema: RelationSchema) -> Positions:
+    """Every attribute of ``schema`` with its position, sorted by name."""
+    return tuple(sorted((a, p) for p, a in enumerate(schema.attributes)))
+
+
+def _shape(
+    values: Sequence[Value], order: Positions
+) -> tuple[int, SignatureKey]:
+    """A tuple's constant-position mask and maximal signature, in one pass."""
+    mask = 0
+    key = []
+    for attribute, position in order:
+        value = values[position]
+        if not isinstance(value, LabeledNull):
+            mask |= 1 << position
+            key.append((attribute, value))
+    return mask, tuple(key)
+
+
+def _constant_mask(values: Sequence[Value]) -> int:
+    """The positions of ``values`` that hold constants, as a bitmask."""
+    mask = 0
+    for position, value in enumerate(values):
+        if not isinstance(value, LabeledNull):
+            mask |= 1 << position
+    return mask
+
+
+def _compile_plans(order: Positions, masks: Iterable[int]) -> tuple[Plan, ...]:
+    """One plan per pattern mask, largest first, then by sorted names."""
+    plans = [
+        (mask, tuple((a, p) for a, p in order if mask >> p & 1))
+        for mask in masks
+    ]
+    plans.sort(key=lambda plan: (-len(plan[1]), [a for a, _ in plan[1]]))
+    return tuple(plans)
+
+
+def _scan_relation(
+    relation: RelationInstance, order: Positions
+) -> tuple[dict[SignatureKey, tuple[Tuple, ...]], dict[int, int], list[Tuple]]:
+    """One pass over ``relation``: signature map, pattern counts, probe order.
+
+    Buckets keep relation order; the probe order is Alg. 4's (sorting
+    ``(-constant count, tuple id, tuple)`` never compares tuples, since
+    ids are unique).
+    """
+    buckets: dict[SignatureKey, list[Tuple]] = {}
+    pattern_counts: dict[int, int] = {}
+    probe: list[tuple[int, str, Tuple]] = []
+    for t in relation:
+        mask, key = _shape(t.values, order)
+        buckets.setdefault(key, []).append(t)
+        pattern_counts[mask] = pattern_counts.get(mask, 0) + 1
+        probe.append((-len(key), t.tuple_id, t))
+    probe.sort()
+    sigmap = {key: tuple(bucket) for key, bucket in buckets.items()}
+    return sigmap, pattern_counts, [t for _, _, t in probe]
+
+
+def _probe_sort_key(t: Tuple) -> tuple[int, str]:
+    """Alg. 4's probe order: most constants first, then by tuple id."""
+    return (-t.constant_count(), t.tuple_id)
+
+
 class _RelationSignatures:
     """Precomputed signature structures for one relation of one instance.
 
-    * ``sigmap`` — maximal signature → tuples carrying it (the Alg. 4 hash
-      map, unfiltered);
-    * ``patterns`` — the distinct constant-attribute sets, largest first
-      (the pattern-keyed probing order);
-    * ``probe_order`` — all tuples, most-constant-first (the Alg. 4 probe
-      scan order).
+    * ``sigmap`` — maximal signature → tuples carrying it, in relation
+      order (the Alg. 4 hash map, unfiltered);
+    * ``plans`` — one :data:`Plan` per distinct null pattern, largest
+      first, ties by sorted attribute names (the pattern-keyed probing
+      order);
+    * ``probe_order`` — all tuples, most-constant-first, ties by tuple id
+      (the Alg. 4 probe scan order).
 
-    All three depend only on attribute names and *constants* — labeled
-    nulls never appear in a signature — so the structures survive null
-    renaming unchanged.  They do depend on tuple ids (probe tie-breaking
-    and the tuple objects themselves), so an index is only valid for the
-    exact instance it was built from.
+    All three depend only on attribute names, positions and *constants* —
+    labeled nulls never appear in a signature — so the structures survive
+    null renaming unchanged.  They do depend on tuple ids (probe
+    tie-breaking and the tuple objects themselves), so an index is only
+    valid for the exact instance it was built from.  Probing never writes
+    into them: one index serves any number of comparisons.
     """
 
-    __slots__ = ("sigmap", "patterns", "probe_order")
+    __slots__ = ("sigmap", "plans", "probe_order", "__weakref__")
 
     def __init__(
         self,
         sigmap: dict[SignatureKey, tuple[Tuple, ...]],
-        patterns: tuple[frozenset[str], ...],
-        probe_order: tuple[Tuple, ...],
+        plans: tuple[Plan, ...],
+        probe_order: Sequence[Tuple],
     ) -> None:
         self.sigmap = sigmap
-        self.patterns = patterns
+        self.plans = plans
         self.probe_order = probe_order
 
 
@@ -129,15 +217,14 @@ class SignatureIndex:
 
     @classmethod
     def build(cls, instance: Instance) -> "SignatureIndex":
-        """Index every relation of ``instance``."""
+        """Index every relation of ``instance``, one pass over each tuple."""
         profiler = active_profiler()
         relations: dict[str, _RelationSignatures] = {}
         for relation in instance.relations():
-            sigmap: dict[SignatureKey, list[Tuple]] = {}
-            patterns: set[frozenset[str]] = set()
-            for t in relation:
-                sigmap.setdefault(maximal_signature(t), []).append(t)
-                patterns.add(frozenset(t.constant_attributes()))
+            order = _lexicographic_positions(relation.schema)
+            sigmap, pattern_counts, probe_order = _scan_relation(
+                relation, order
+            )
             if profiler is not None:
                 for key, bucket in sigmap.items():
                     profiler.observe(
@@ -146,15 +233,9 @@ class SignatureIndex:
                         f"{relation.schema.name}:{len(key)}-attrs",
                     )
             relations[relation.schema.name] = _RelationSignatures(
-                sigmap={key: tuple(bucket) for key, bucket in sigmap.items()},
-                patterns=tuple(
-                    sorted(patterns, key=lambda p: (-len(p), sorted(p)))
-                ),
-                probe_order=tuple(
-                    sorted(
-                        relation, key=lambda t: (-t.constant_count(), t.tuple_id)
-                    )
-                ),
+                sigmap=sigmap,
+                plans=_compile_plans(order, pattern_counts),
+                probe_order=tuple(probe_order),
             )
         return cls(relations)
 
@@ -182,30 +263,70 @@ class SignatureIndex:
 class _MutableRelationSignatures:
     """Live, editable counterpart of :class:`_RelationSignatures`.
 
-    Buckets are kept as rank-sorted lists so that materialization
-    reproduces the *cold-build* bucket order exactly: ranks follow the
-    relation's insertion order, updates keep their rank (an in-place
-    replacement, matching how :meth:`DeltaBatch.apply
+    Holds the three structures a view reads and patches them per edited
+    tuple, so an edit costs the tuples it touches, not the relation:
+
+    * a bucket is a tuple of its members in rank order; an edit replaces
+      only the buckets of the keys it touches;
+    * ``plans`` are recompiled only when a pattern appears (its count
+      goes 0 → 1) or vanishes (1 → 0);
+    * ``probe_order`` is a list kept sorted by :func:`_probe_sort_key`.
+
+    Ranks follow the relation's insertion order, updates keep their rank
+    (an in-place replacement, matching how :meth:`DeltaBatch.apply
     <repro.delta.DeltaBatch.apply>` preserves tuple positions), and
-    inserts take fresh ranks at the tail.
+    inserts take fresh ranks at the tail — so every structure equals a
+    cold :meth:`SignatureIndex.build` of the edited relation.
+
+    :meth:`view` hands out a :class:`_RelationSignatures` over the live
+    structures.  Before an edit, a view that is still referenced gets its
+    own copies, so a view never changes after it was taken; one released
+    before the edit (the delta engine's case) costs nothing.
     """
 
     __slots__ = (
         "schema",
-        "buckets",
+        "order",
+        "sigmap",
         "pattern_counts",
-        "probe",
+        "plans",
+        "probe_order",
         "rank",
         "next_rank",
+        "_view",
     )
 
-    def __init__(self, schema) -> None:
-        self.schema = schema
-        self.buckets: dict[SignatureKey, list[tuple[int, Tuple]]] = {}
-        self.pattern_counts: dict[frozenset[str], int] = {}
-        self.probe: list[tuple[int, str, Tuple]] = []
-        self.rank: dict[str, int] = {}
-        self.next_rank = 0
+    def __init__(self, relation: RelationInstance) -> None:
+        self.schema = relation.schema
+        self.order = _lexicographic_positions(self.schema)
+        self.sigmap, self.pattern_counts, self.probe_order = _scan_relation(
+            relation, self.order
+        )
+        self.plans = _compile_plans(self.order, self.pattern_counts)
+        self.rank = {t.tuple_id: rank for rank, t in enumerate(relation)}
+        self.next_rank = len(self.rank)
+        self._view: weakref.ref[_RelationSignatures] | None = None
+
+    def view(self) -> _RelationSignatures:
+        """The live structures, shared by every caller until the next edit."""
+        view = self._view() if self._view is not None else None
+        if view is None:
+            view = _RelationSignatures(
+                self.sigmap, self.plans, self.probe_order
+            )
+            self._view = weakref.ref(view)
+        return view
+
+    def _detach_view(self) -> None:
+        """Before an edit: a view still held keeps the pre-edit structures."""
+        view = self._view() if self._view is not None else None
+        self._view = None
+        if view is not None:
+            view.sigmap = dict(view.sigmap)
+            view.probe_order = tuple(view.probe_order)
+
+    def _rank_of(self, t: Tuple) -> int:
+        return self.rank[t.tuple_id]
 
     def insert(self, t: Tuple) -> None:
         if t.tuple_id in self.rank:
@@ -213,60 +334,89 @@ class _MutableRelationSignatures:
                 f"tuple {t.tuple_id!r} already indexed in relation "
                 f"{self.schema.name!r}"
             )
+        self._detach_view()
         rank = self.next_rank
         self.next_rank += 1
         self.rank[t.tuple_id] = rank
-        self._insert_structures(t, rank)
+        self._move_pattern(None, self._insert_structures(t, rank))
 
-    def _insert_structures(self, t: Tuple, rank: int) -> None:
-        key = maximal_signature(t)
-        bucket = self.buckets.setdefault(key, [])
-        bisect.insort(bucket, (rank, t))
-        pattern = frozenset(t.constant_attributes())
-        self.pattern_counts[pattern] = self.pattern_counts.get(pattern, 0) + 1
-        bisect.insort(self.probe, (-t.constant_count(), t.tuple_id, t))
+    def _move_pattern(self, old: int | None, new: int | None) -> None:
+        """Move one tuple's pattern count from mask ``old`` to ``new``.
 
-    def _remove_structures(self, t: Tuple, rank: int) -> None:
-        key = maximal_signature(t)
-        bucket = self.buckets.get(key)
+        The plans are recompiled only when a pattern appears or vanishes.
+        """
+        if old == new:
+            return
+        counts = self.pattern_counts
+        changed = False
+        if old is not None:
+            if counts[old] == 1:
+                del counts[old]
+                changed = True
+            else:
+                counts[old] -= 1
+        if new is not None:
+            count = counts.get(new, 0)
+            counts[new] = count + 1
+            changed = changed or not count
+        if changed:
+            self.plans = _compile_plans(self.order, counts)
+
+    def _insert_structures(self, t: Tuple, rank: int) -> int:
+        """File ``t`` in its bucket and probe order; returns its mask."""
+        mask, key = _shape(t.values, self.order)
+        bucket = self.sigmap.get(key, ())
+        i = bisect.bisect(bucket, rank, key=self._rank_of)
+        self.sigmap[key] = bucket[:i] + (t,) + bucket[i:]
+        j = bisect.bisect(
+            self.probe_order, (-len(key), t.tuple_id), key=_probe_sort_key
+        )
+        self.probe_order.insert(j, t)
+        return mask
+
+    def _remove_structures(self, t: Tuple, rank: int) -> int:
+        """Take ``t`` out of its bucket and probe order; returns its mask."""
+        mask, key = _shape(t.values, self.order)
+        bucket = self.sigmap.get(key)
         if bucket is None:
             raise ValueError(
                 f"tuple {t.tuple_id!r} not found under its signature in "
                 f"relation {self.schema.name!r}"
             )
-        i = bisect.bisect_left(bucket, (rank,))
-        if i >= len(bucket) or bucket[i][0] != rank:
+        i = bisect.bisect_left(bucket, rank, key=self._rank_of)
+        if i >= len(bucket) or bucket[i].tuple_id != t.tuple_id:
             raise ValueError(
                 f"tuple {t.tuple_id!r} missing from its signature bucket "
                 f"in relation {self.schema.name!r}"
             )
-        bucket.pop(i)
-        if not bucket:
-            del self.buckets[key]
-        pattern = frozenset(t.constant_attributes())
-        count = self.pattern_counts.get(pattern, 0)
-        if count <= 1:
-            self.pattern_counts.pop(pattern, None)
+        if len(bucket) == 1:
+            del self.sigmap[key]
         else:
-            self.pattern_counts[pattern] = count - 1
-        probe_key = (-t.constant_count(), t.tuple_id)
-        j = bisect.bisect_left(self.probe, probe_key)
-        if j >= len(self.probe) or self.probe[j][:2] != probe_key:
+            self.sigmap[key] = bucket[:i] + bucket[i + 1:]
+        j = bisect.bisect_left(
+            self.probe_order, (-len(key), t.tuple_id), key=_probe_sort_key
+        )
+        if (
+            j >= len(self.probe_order)
+            or self.probe_order[j].tuple_id != t.tuple_id
+        ):
             raise ValueError(
                 f"tuple {t.tuple_id!r} missing from the probe order of "
                 f"relation {self.schema.name!r}"
             )
-        self.probe.pop(j)
+        del self.probe_order[j]
+        return mask
 
     def delete(self, t: Tuple) -> None:
-        try:
-            rank = self.rank.pop(t.tuple_id)
-        except KeyError:
+        rank = self.rank.get(t.tuple_id)
+        if rank is None:
             raise ValueError(
                 f"tuple {t.tuple_id!r} not indexed in relation "
                 f"{self.schema.name!r}"
-            ) from None
-        self._remove_structures(t, rank)
+            )
+        self._detach_view()
+        self._move_pattern(self._remove_structures(t, rank), None)
+        del self.rank[t.tuple_id]
 
     def replace(self, old: Tuple, new: Tuple) -> None:
         if old.tuple_id != new.tuple_id:
@@ -277,33 +427,27 @@ class _MutableRelationSignatures:
                 f"tuple {old.tuple_id!r} not indexed in relation "
                 f"{self.schema.name!r}"
             )
-        self._remove_structures(old, rank)
-        self._insert_structures(new, rank)
-
-    def materialize(self) -> _RelationSignatures:
-        return _RelationSignatures(
-            sigmap={
-                key: tuple(t for _, t in bucket)
-                for key, bucket in self.buckets.items()
-            },
-            patterns=tuple(
-                sorted(
-                    self.pattern_counts, key=lambda p: (-len(p), sorted(p))
-                )
-            ),
-            probe_order=tuple(t for _, _, t in self.probe),
+        self._detach_view()
+        self._move_pattern(
+            self._remove_structures(old, rank),
+            self._insert_structures(new, rank),
         )
 
 
 class MutableSignatureIndex(SignatureIndex):
-    """A :class:`SignatureIndex` that can be patched under a delta batch.
+    """A :class:`SignatureIndex` that is patched in place under a delta batch.
 
     Instead of invalidating and rebuilding the whole index when its
     instance evolves, individual tuples can be inserted, deleted, or
-    replaced; the (lazily re-materialized) structures are *structurally
-    identical* to a cold :meth:`SignatureIndex.build` of the post-edit
-    instance — same buckets in the same order, same pattern order, same
+    replaced.  Each edit patches only the signature buckets, the pattern
+    plans and the probe positions of the tuple it touches, so a batch
+    costs its own size, not the relation's.  The structures stay
+    *structurally identical* to a cold :meth:`SignatureIndex.build` of the
+    post-edit instance — same buckets in the same order, same plans, same
     probe order (regression-tested in ``tests/delta/test_signature_delta``).
+
+    :meth:`relation` returns a view over the live structures; a later edit
+    never changes a view taken before it.
 
     Drop-in compatible with ``signature_compare``'s ``left_index`` /
     ``right_index`` parameters.
@@ -318,20 +462,15 @@ class MutableSignatureIndex(SignatureIndex):
     @classmethod
     def build(cls, instance: Instance) -> "MutableSignatureIndex":
         """Index every relation of ``instance``, in editable form."""
-        mutable: dict[str, _MutableRelationSignatures] = {}
-        for relation in instance.relations():
-            state = _MutableRelationSignatures(relation.schema)
-            mutable[relation.schema.name] = state
-            for t in relation:
-                state.insert(t)
-        return cls(mutable)
+        return cls(
+            {
+                relation.schema.name: _MutableRelationSignatures(relation)
+                for relation in instance.relations()
+            }
+        )
 
     def relation(self, name: str) -> _RelationSignatures:
-        cached = self._relations.get(name)
-        if cached is None:
-            cached = self._mutable[name].materialize()
-            self._relations[name] = cached
-        return cached
+        return self._mutable[name].view()
 
     def matches(self, instance: Instance) -> bool:
         names = set(instance.schema.relation_names())
@@ -346,17 +485,14 @@ class MutableSignatureIndex(SignatureIndex):
     def insert_tuple(self, t: Tuple) -> None:
         """Index a newly inserted tuple."""
         self._mutable[t.relation.name].insert(t)
-        self._relations.pop(t.relation.name, None)
 
     def delete_tuple(self, t: Tuple) -> None:
         """Drop a deleted tuple (matched by id; values drive bucket lookup)."""
         self._mutable[t.relation.name].delete(t)
-        self._relations.pop(t.relation.name, None)
 
     def replace_tuple(self, old: Tuple, new: Tuple) -> None:
         """Re-index an updated tuple in place, keeping its position."""
         self._mutable[old.relation.name].replace(old, new)
-        self._relations.pop(old.relation.name, None)
 
     def apply_batch(self, batch, new_instance: Instance) -> None:
         """Patch the index under a delta batch.
@@ -442,8 +578,8 @@ class _MatchState:
         return ("zero", "coverage") if self.align_preference else ("any",)
 
     def order_candidates(
-        self, candidates: list[Tuple], probe: Tuple, probe_is_right: bool
-    ) -> list[Tuple]:
+        self, candidates: Sequence[Tuple], probe: Tuple, probe_is_right: bool
+    ) -> Sequence[Tuple]:
         """Order candidate tuples, cheapest value-mapping merges first.
 
         With ``align_preference`` off (the paper's plain greedy), candidates
@@ -529,26 +665,25 @@ class _MatchState:
 
 def _find_signature_matches(
     state: _MatchState,
-    indexed: Sequence[Tuple],
+    indexed_signatures: _RelationSignatures,
     probes: Sequence[Tuple],
     indexed_is_left: bool,
     policy: str = "any",
-    indexed_signatures: _RelationSignatures | None = None,
-    probe_signatures: _RelationSignatures | None = None,
 ) -> int:
     """``FindSigMatches`` (Alg. 4) for one relation and one direction.
 
-    ``indexed`` tuples go into the signature map keyed by their maximal
-    signatures; ``probes`` are scanned against it.  ``policy`` is the
+    ``indexed_signatures`` holds the indexed side's signature map and
+    pattern plans; ``probes`` are scanned against it in the order given,
+    which callers keep to Alg. 4's: a ``probe_order``, or raw tuples
+    sorted by :func:`_probe_sort_key`.  ``policy`` is the
     admissibility rule of the current greedy phase (see
     :meth:`_MatchState.admissible`).  Returns the number of pairs added.
 
-    When precomputed :class:`_RelationSignatures` are supplied, the
-    signature map / pattern list / probe order are taken from them instead
-    of being rebuilt.  The cached map is unfiltered, so already-matched
-    indexed tuples are skipped at hit time — which the scan below does
-    anyway — making the cached and rebuilt paths commit identical pairs in
-    identical order.
+    The map is unfiltered, so already-matched indexed tuples are skipped
+    at hit time.  When the indexed side is injective, the buckets the scan
+    prunes (Alg. 4 lines 10–12) go into a call-local overlay that shadows
+    the map: the index itself is never written, so one index serves every
+    comparison that shares it (signature-cache entries, delta sessions).
     """
     options = state.options
     # Injectivity of the *indexed* side (the side a hit consumes from the map).
@@ -564,49 +699,26 @@ def _find_signature_matches(
     probe_matched = (
         state.matched_right if indexed_is_left else state.matched_left
     )
-
-    sigmap: dict[SignatureKey, list[Tuple]]
-    ordered_patterns: Sequence[frozenset[str]]
-    if indexed_signatures is not None:
-        # Per-call mutable copy: the scan prunes consumed buckets in place
-        # and must never write back into the shared cached index.
-        sigmap = {
-            key: list(bucket)
-            for key, bucket in indexed_signatures.sigmap.items()
-        }
-        ordered_patterns = indexed_signatures.patterns
-    else:
-        sigmap = {}
-        patterns: set[frozenset[str]] = set()
-        for t in indexed:
-            if indexed_injective and t.tuple_id in indexed_matched:
-                continue
-            sigmap.setdefault(maximal_signature(t), []).append(t)
-            patterns.add(frozenset(t.constant_attributes()))
-        # Largest patterns first: prefer matches sharing the most constants.
-        ordered_patterns = sorted(patterns, key=lambda p: (-len(p), sorted(p)))
-
-    if probe_signatures is not None:
-        probe_scan: Sequence[Tuple] = probe_signatures.probe_order
-    else:
-        # Scan probes most-constant-first so constrained tuples commit early.
-        probe_scan = sorted(
-            probes, key=lambda t: (-t.constant_count(), t.tuple_id)
-        )
+    sigmap = indexed_signatures.sigmap
+    plans = indexed_signatures.plans
+    overlay: dict[SignatureKey, list[Tuple]] = {}
 
     added = 0
-    for probe in probe_scan:
+    for probe in probes:
         if not state.control.spend():
             break  # budget tripped: keep the pairs committed so far
         if probe_injective and probe.tuple_id in probe_matched:
             continue
-        ground = set(probe.constant_attributes())
+        values = probe.values
+        ground = _constant_mask(values)
         probe_done = False
-        for pattern in ordered_patterns:
-            if not pattern <= ground:
+        for mask, pairs in plans:
+            if mask & ground != mask:
                 continue
-            key = signature_of(probe, pattern)
+            key = tuple([(a, values[p]) for a, p in pairs])
             candidates = sigmap.get(key)
+            if candidates and indexed_injective:
+                candidates = overlay.get(key, candidates)
             if not candidates:
                 continue
             ordered = state.order_candidates(
@@ -626,7 +738,7 @@ def _find_signature_matches(
                         break
             if indexed_injective:
                 # Drop consumed tuples from the bucket (Alg. 4 lines 10–12).
-                sigmap[key] = [
+                overlay[key] = [
                     c for c in candidates if c.tuple_id not in indexed_matched
                 ]
             if probe_done:
@@ -652,19 +764,13 @@ def _signature_step(
             right_signatures = right_index.relation(relation_name)
             # Pass 1: index left, probe with right (Alg. 3 line 3).
             added += _find_signature_matches(
-                state, left_signatures.probe_order,
-                right_signatures.probe_order,
+                state, left_signatures, right_signatures.probe_order,
                 indexed_is_left=True, policy=policy,
-                indexed_signatures=left_signatures,
-                probe_signatures=right_signatures,
             )
             # Pass 2: index right, probe with left (Alg. 3 line 4).
             added += _find_signature_matches(
-                state, right_signatures.probe_order,
-                left_signatures.probe_order,
+                state, right_signatures, left_signatures.probe_order,
                 indexed_is_left=False, policy=policy,
-                indexed_signatures=right_signatures,
-                probe_signatures=left_signatures,
             )
     return added
 
@@ -715,7 +821,7 @@ def _complete_relation(
     policy = "coverage" if state.align_preference else "any"
     added = 0
     # Most-constrained (most constants) left tuples commit first.
-    for t in sorted(left_pool, key=lambda x: (-x.constant_count(), x.tuple_id)):
+    for t in sorted(left_pool, key=_probe_sort_key):
         if not state.control.spend():
             break
         if options.left_injective and t.tuple_id in state.matched_left:

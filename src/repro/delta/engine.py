@@ -22,10 +22,12 @@ the disturbed part of the match is recomputed:
 
 The warm result is always a *valid* instance match of the current
 instances — ``score_match`` of the returned match reproduces the reported
-similarity bit-for-bit — but the greedy search is restricted to the
-disturbed region, so it may trail the cold greedy optimum.  Every result
-therefore carries a certified ``staleness_bound``: the admissible sketch
-bound (:func:`~repro.index.sketch.similarity_upper_bound`) minus the warm
+similarity up to floating-point summation order (the session sums its
+incremental pair scores in its own order, so the last bit may differ) —
+but the greedy search is restricted to the disturbed region, so it may
+trail the cold greedy optimum.  Every result therefore carries a certified
+``staleness_bound``: the admissible sketch bound
+(:func:`~repro.index.sketch.similarity_upper_bound`) minus the warm
 similarity, an upper bound on how far *any* rematch (cold greedy or even
 the exact algorithm) can pull ahead.  A bound of zero certifies the warm
 answer as exact.
@@ -59,6 +61,7 @@ from ..algorithms.signature import (
     _completion_step,
     _find_signature_matches,
     _MatchState,
+    _probe_sort_key,
     _relation_order,
     _signature_step,
 )
@@ -558,16 +561,16 @@ class DeltaSession:
                 probes = changed_right.get(name)
                 if probes:
                     _find_signature_matches(
-                        state, left_signatures.probe_order, probes,
+                        state, left_signatures,
+                        sorted(probes, key=_probe_sort_key),
                         indexed_is_left=True, policy=policy,
-                        indexed_signatures=left_signatures,
                     )
                 probes = freed_left_by_rel.get(name)
                 if probes:
                     _find_signature_matches(
-                        state, right_signatures.probe_order, probes,
+                        state, right_signatures,
+                        sorted(probes, key=_probe_sort_key),
                         indexed_is_left=False, policy=policy,
-                        indexed_signatures=right_signatures,
                     )
 
         # 4. Restricted completion: only currently-unmatched tuples are

@@ -3,8 +3,10 @@
 Two invariants carry the whole design and are property-tested here:
 
 1. **Validity** — after any chain of advances, the session's similarity
-   equals ``score_match`` of the match it reports, exactly.  The warm
-   score is never an estimate; only its *optimality* is approximate.
+   equals ``score_match`` of the match it reports, up to floating-point
+   summation order (the session sums its pair scores in its own order,
+   so checks use a tolerance).  The warm score is never an estimate;
+   only its *optimality* is approximate.
 2. **Honest staleness** — a cold re-run of the signature algorithm on
    the evolved pair never beats the warm score by more than the
    reported ``staleness_bound``.
