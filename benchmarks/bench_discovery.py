@@ -5,7 +5,7 @@ import pytest
 from repro.core.instance import Instance
 from repro.datagen.perturb import PerturbationConfig, perturb
 from repro.datagen.synthetic import generate_dataset
-from repro.discovery.lake import DataLake
+from repro.index import SimilarityIndex
 from repro.versioning.history import reconstruct_history
 
 
@@ -34,7 +34,7 @@ def version_family():
 
 
 def test_lake_search(benchmark, version_family):
-    lake = DataLake()
+    lake = SimilarityIndex()
     for name, version in version_family.items():
         lake.add(name, version)
     query = version_family["v2"]
@@ -43,7 +43,7 @@ def test_lake_search(benchmark, version_family):
 
 
 def test_near_duplicates(benchmark, version_family):
-    lake = DataLake()
+    lake = SimilarityIndex()
     for name, version in version_family.items():
         lake.add(name, version)
     pairs = benchmark(lake.near_duplicates, 0.7)

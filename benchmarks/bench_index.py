@@ -11,9 +11,11 @@ several unrelated tables with discriminative content, and one structurally
 incomparable table), then measures:
 
 * **exactness gates** (any failure exits 1):
-  - index search hits are *identical* to brute force for every query and
-    ``top_k`` — names, scores, tie order (recall@k = 1.0);
-  - index ``near_duplicates`` matches brute force at every threshold;
+  - index search hits are *identical* to the brute-force oracle
+    (``brute_force_search`` on a second index over the same corpus) for
+    every query and ``top_k`` — names, scores, tie order (recall@k = 1.0);
+  - index ``near_duplicates`` matches ``brute_force_dedup`` at every
+    threshold;
   - a persisted store reloads deterministically (same search results, and
     two saves of the loaded index are byte-identical);
 * **efficiency gate**: index search performs strictly fewer full
@@ -39,8 +41,12 @@ sys.path.insert(
 from repro.core.instance import Instance  # noqa: E402
 from repro.datagen.perturb import PerturbationConfig, perturb  # noqa: E402
 from repro.datagen.synthetic import generate_dataset  # noqa: E402
-from repro.discovery.lake import DataLake  # noqa: E402
-from repro.index import SimilarityIndex, load_index  # noqa: E402
+from repro.index import (  # noqa: E402
+    SimilarityIndex,
+    brute_force_dedup,
+    brute_force_search,
+    load_index,
+)
 
 
 def build_corpus(rows: int, versions: int, unrelated: int, seed: int):
@@ -104,7 +110,9 @@ def main(argv=None) -> int:
     corpus = build_corpus(args.rows, args.versions, args.unrelated, args.seed)
 
     index = SimilarityIndex()
-    brute = DataLake(use_index=False)
+    # The oracle's side: its own index (so its own cache, and cold
+    # timings), queried only through the brute-force scan.
+    brute = SimilarityIndex()
     build_elapsed = 0.0
     for name, instance in sorted(corpus.items()):
         _, elapsed = timed(index.add, name, instance)
@@ -128,7 +136,7 @@ def main(argv=None) -> int:
             )
             report = index.last_report
             brute_hits, brute_elapsed = timed(
-                brute.search, query, top_k
+                brute_force_search, brute, query, top_k
             )
             brute_compared = report.candidates  # one compare per comparable
             identical = index_hits == brute_hits
@@ -162,7 +170,7 @@ def main(argv=None) -> int:
         )
         report = index.last_report
         brute_pairs, brute_elapsed = timed(
-            brute.near_duplicates, threshold
+            brute_force_dedup, brute, threshold
         )
         identical = index_pairs == brute_pairs
         if not identical:

@@ -9,8 +9,8 @@ The lake here holds several derived versions of two base tables (perturbed,
 truncated, shuffled) plus unrelated tables; the query is a small sample of
 one base table.  Ranking by instance similarity surfaces the right family.
 
-Since PR 4 the search runs on the ``repro.index`` retrieval layer (see
-``docs/INDEX.md``): every table is sketched once when it enters the lake,
+The search runs on the ``repro.index`` retrieval layer (see
+``docs/INDEX.md``): every table is sketched once when it enters the index,
 the query prunes candidates through an admissible upper bound on the
 similarity score, and refinement runs best-bound-first — the ranking is
 identical to a brute-force scan, with fewer full comparisons.
@@ -25,7 +25,7 @@ import random
 from repro import Instance
 from repro.datagen.perturb import PerturbationConfig, perturb
 from repro.datagen.synthetic import generate_dataset
-from repro.discovery import DataLake
+from repro.index import SimilarityIndex
 from repro.versioning.operations import removed_rows_version, shuffled_version
 
 
@@ -80,11 +80,11 @@ def main() -> None:
     )
     print(f"Query example: {len(query)} rows of an (unlabeled) dataset\n")
 
-    lake = DataLake()
+    index = SimilarityIndex()
     for name, table in build_lake().items():
-        lake.add(name, table)           # sketched + LSH-bucketed on entry
-    hits = lake.search(query, top_k=len(lake))
-    report = lake.index.last_report
+        index.add(name, table)          # sketched + LSH-bucketed on entry
+    hits = index.search(query, top_k=len(index))
+    report = index.last_report
 
     print(f"{'rank':<5} {'dataset':<22} {'similarity':>10} {'matched':>8}")
     print("-" * 50)

@@ -101,7 +101,7 @@ from .runtime.anytime import DEFAULT_ANYTIME_NODE_BUDGET
 from .runtime.budget import DEFAULT_CHECK_INTERVAL
 from .scoring.match_score import score_match
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"
 
 
 def compare(

@@ -794,8 +794,14 @@ def _read_index_table(args, path: str, name: str):
 
 def _run_index(args, parser) -> int:
     """The ``index`` command family: build / add / search / dedup."""
-    from .discovery.lake import DataLake
-    from .index import IndexParams, RefinePolicy, SimilarityIndex
+    from .index import (
+        IndexParams,
+        RefinePolicy,
+        SimilarityIndex,
+        brute_force_dedup,
+        brute_force_search,
+        cluster_duplicates,
+    )
 
     if args.index_command in ("recover", "verify", "compact"):
         return _run_index_maintenance(args, parser)
@@ -862,9 +868,7 @@ def _run_index(args, parser) -> int:
         if args.index_command == "search":
             query = _read_index_table(args, args.query, "query")
             if args.brute_force:
-                lake = DataLake.from_index(index)
-                lake.use_index = False
-                hits = lake.search(query, top_k=args.top_k)
+                hits = brute_force_search(index, query, args.top_k)
                 report = None
             else:
                 hits = index.search(query, top_k=args.top_k, policy=policy)
@@ -895,25 +899,17 @@ def _run_index(args, parser) -> int:
 
         # dedup
         if args.brute_force:
-            lake = DataLake.from_index(index)
-            lake.use_index = False
-            pairs = lake.near_duplicates(threshold=args.threshold)
-            clusters = (
-                lake.duplicate_clusters(threshold=args.threshold)
-                if args.clusters else None
-            )
+            pairs = brute_force_dedup(index, args.threshold)
             report = None
         else:
             pairs = index.near_duplicates(
                 threshold=args.threshold, policy=policy
             )
             report = index.last_report
-            clusters = (
-                index.duplicate_clusters(
-                    threshold=args.threshold, policy=policy
-                )
-                if args.clusters else None
-            )
+        clusters = (
+            cluster_duplicates(index.names(), pairs)
+            if args.clusters else None
+        )
         if args.json:
             payload = {
                 "pairs": [

@@ -6,7 +6,11 @@ sketches with an admissible upper bound on the similarity score
 (:mod:`~repro.index.lsh`), versioned on-disk persistence with incremental
 maintenance (:mod:`~repro.index.store`), and bound-ordered exact
 refinement through the parallel engine (:mod:`~repro.index.refine`) —
-assembled by :class:`~repro.index.core.SimilarityIndex`.
+assembled by :class:`~repro.index.core.SimilarityIndex`, the discovery
+API for the paper's Sec. 1 dataset-search and deduplication applications.
+:func:`~repro.index.brute_force_search` and
+:func:`~repro.index.brute_force_dedup` are the brute-force oracle that
+search and dedup must equal.
 
 See ``docs/INDEX.md`` for the full tour.
 """
@@ -20,6 +24,9 @@ from .refine import (
     RefinePolicy,
     RefineReport,
     SearchHit,
+    brute_force_dedup,
+    brute_force_search,
+    cluster_duplicates,
     refine_dedup,
     refine_search,
 )
@@ -75,6 +82,9 @@ __all__ = [
     "StoreFinding",
     "TornTail",
     "UpdateReport",
+    "brute_force_dedup",
+    "brute_force_search",
+    "cluster_duplicates",
     "comparable",
     "crc32c",
     "estimated_jaccard",

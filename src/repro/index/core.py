@@ -34,6 +34,7 @@ from .refine import (
     RefinePolicy,
     RefineReport,
     SearchHit,
+    cluster_duplicates,
     refine_dedup,
     refine_search,
 )
@@ -319,18 +320,12 @@ class SimilarityIndex:
         exact: bool = True,
     ) -> list[set[str]]:
         """Connected components of the near-duplicate graph (size ≥ 2)."""
-        from ..utils.unionfind import UnionFind
-
-        components: UnionFind = UnionFind(self.names())
-        for pair in self.near_duplicates(
-            threshold=threshold, policy=policy, exact=exact
-        ):
-            components.union(pair.first, pair.second)
-        clusters = [
-            set(group) for group in components.classes() if len(group) >= 2
-        ]
-        clusters.sort(key=lambda c: (-len(c), sorted(c)))
-        return clusters
+        return cluster_duplicates(
+            self.names(),
+            self.near_duplicates(
+                threshold=threshold, policy=policy, exact=exact
+            ),
+        )
 
     # -- persistence ----------------------------------------------------------
 

@@ -20,8 +20,10 @@ as the bounds allow, through the PR-3 batch machinery:
 
 Exactness: with admissible bounds and complete outcomes, the refined hits
 are *identical* — names, scores, matched-tuple counts, tie order — to the
-brute-force scan over every comparable table.  ``benchmarks/bench_index.py``
-gates on that equality (recall@k = 1.0).
+brute-force oracle (:func:`brute_force_search`, :func:`brute_force_dedup`),
+which compares every comparable table through the same
+:class:`QueryComparer` and reads no sketch, bound or LSH bucket.
+``benchmarks/bench_index.py`` gates on that equality (recall@k = 1.0).
 
 The sketch bound is the only bound here.  The solved assignment relaxation
 (:func:`repro.algorithms.assignment.assignment_bounds`) is tighter, but
@@ -32,7 +34,7 @@ costs less than the solve; it prunes the exponential exact search instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from ..algorithms.dispatch import run_algorithm
 from ..algorithms.options import (
@@ -42,7 +44,6 @@ from ..algorithms.options import (
     resolve_algorithm,
 )
 from ..algorithms.result import ComparisonResult
-from ..algorithms.signature import signature_compare
 from ..core.instance import Instance
 from ..mappings.constraints import MatchOptions
 from ..obs.metrics import active_metrics
@@ -52,6 +53,7 @@ from ..parallel.engine import compare_many
 from ..runtime.faults import FaultPlan
 from ..runtime.isolation import WorkerLimits
 from ..runtime.retry import RetryPolicy
+from ..utils.unionfind import UnionFind
 from ..versioning.operations import align_schemas
 from .sketch import InstanceSketch, comparable, similarity_upper_bound
 
@@ -76,7 +78,7 @@ class SearchHit:
 
 @dataclass(frozen=True)
 class DuplicatePair:
-    """A near-duplicate table pair found in the lake."""
+    """A near-duplicate table pair found in the index."""
 
     first: str
     second: str
@@ -92,14 +94,14 @@ class RefinePolicy:
     worker policies, applied per comparison.  Note that a deadline that
     actually trips makes the affected scores lower bounds, which weakens
     the exactness guarantee — keep policies off when bit-exact parity with
-    brute force is required.
+    the brute-force oracle is required.
 
     ``algorithm`` accepts the same vocabulary as :func:`repro.compare`
     (an :class:`~repro.Algorithm` member or a typed options instance).
     ``None`` — the default — refines with the signature algorithm, whose
-    scores the sketch bounds are admissible for; other algorithms re-rank
-    with their own scores, so the index-vs-brute-force parity guarantee
-    then only holds against a brute force running the same algorithm.
+    scores the sketch bounds are admissible for and which the oracle
+    runs; other algorithms re-rank with their own scores, so parity with
+    the oracle then no longer holds.
     """
 
     jobs: int = 1
@@ -133,11 +135,11 @@ class RefinePolicy:
 class RefineReport:
     """What a search/dedup run did, for benchmarks and diagnostics.
 
-    ``refined`` counts full ``signature_compare`` runs — the quantity the
-    index exists to minimize; brute force spends one per comparable table
+    ``refined`` counts full comparisons — the quantity the index exists
+    to minimize; the brute-force oracle spends one per comparable table
     (or pair).  ``pruned`` candidates were eliminated by the admissible
     bound alone; ``incomparable`` were skipped for different relation
-    names, exactly as the brute-force path skips them.
+    names, exactly as the oracle skips them.
     """
 
     candidates: int = 0
@@ -176,13 +178,12 @@ class RefineReport:
 class QueryComparer:
     """One query instance compared against many candidates, prep hoisted.
 
-    The historical lake loop re-prepared and re-aligned the *query* for
-    every candidate; this helper prepares it once through the shared
-    :class:`SignatureCache` and reuses the prepared side (tuples + Alg. 4
-    signature index) across all schema-compatible candidates.  Candidates
-    with differing attribute sets fall back to per-pair Sec. 4.3 alignment
-    — padding depends on the candidate's schema, so it cannot be hoisted —
-    but the padded sides still flow through the cache.
+    The query is prepared once through the shared :class:`SignatureCache`
+    and the prepared side (tuples + Alg. 4 signature index) is reused
+    across all schema-compatible candidates.  Candidates with differing
+    attribute sets fall back to per-pair Sec. 4.3 alignment — padding
+    depends on the candidate's schema, so it cannot be hoisted — but the
+    padded sides still flow through the cache.
     """
 
     def __init__(
@@ -219,24 +220,15 @@ class QueryComparer:
     def compare(self, candidate: Instance) -> ComparisonResult | None:
         """Full comparison with the policy algorithm, or ``None``.
 
-        Signature refinement (the default) reuses the cached Alg. 4
-        indexes directly; other algorithms run through the common
-        dispatcher, which forwards the indexes to those able to exploit
-        them.
+        Runs through the common dispatcher, which forwards the cached
+        Alg. 4 indexes to the algorithms able to exploit them.  Returns
+        ``None`` when the tables are incomparable (different relation
+        names).
         """
         pair = self.prepared_pair(candidate)
         if pair is None:
             return None
         left_entry, right_entry = pair
-        if isinstance(self.spec, SignatureOptions):
-            return signature_compare(
-                left_entry.instance,
-                right_entry.instance,
-                self.options,
-                align_preference=self.spec.align_preference,
-                left_index=left_entry.index,
-                right_index=right_entry.index,
-            )
         return run_algorithm(
             left_entry.instance,
             right_entry.instance,
@@ -247,10 +239,88 @@ class QueryComparer:
         )
 
 
+def _hit(name: str, result: ComparisonResult) -> SearchHit:
+    return SearchHit(
+        name=name,
+        similarity=result.similarity,
+        matched_tuples=len(result.match.m),
+    )
+
+
+def _hit_order(hit: SearchHit) -> tuple[float, str]:
+    return -hit.similarity, hit.name
+
+
+def _pair_order(pair: DuplicatePair) -> tuple[float, str, str]:
+    return -pair.similarity, pair.first, pair.second
+
+
+def brute_force_search(
+    index: "SimilarityIndex", query: Instance, top_k: int
+) -> list[SearchHit]:
+    """The exact top-k by comparing ``query`` with every table: the oracle.
+
+    Reads no sketch, bound or LSH bucket.  Every comparable table gets a
+    full comparison through :class:`QueryComparer`, which prepares and
+    aligns (Sec. 4.3) exactly as :func:`refine_search` does, so the
+    index's hits must equal these, tie order included.  ``top_k <= 0`` and
+    an empty index return ``[]`` without a comparison.
+    """
+    if top_k <= 0 or len(index) == 0:
+        return []
+    comparer = QueryComparer(index.cache, index.options, query)
+    hits = []
+    for name in index.names():
+        result = comparer.compare(index.get(name))
+        if result is not None:
+            hits.append(_hit(name, result))
+    hits.sort(key=_hit_order)
+    return hits[:top_k]
+
+
+def brute_force_dedup(
+    index: "SimilarityIndex", threshold: float
+) -> list[DuplicatePair]:
+    """Every comparable pair with similarity ≥ ``threshold``: the oracle.
+
+    Compares all *n(n−1)/2* pairs in full, with no bound or LSH pruning;
+    :func:`refine_dedup` must return exactly these pairs, in this order.
+    """
+    comparers = {
+        name: QueryComparer(index.cache, index.options, index.get(name))
+        for name in index.names()
+    }
+    pairs = []
+    for first, second in _comparable_pairs(index):
+        result = comparers[first].compare(index.get(second))
+        if result is not None and result.similarity >= threshold:
+            pairs.append(DuplicatePair(first, second, result.similarity))
+    pairs.sort(key=_pair_order)
+    return pairs
+
+
+def cluster_duplicates(
+    names: Iterable[str], pairs: Iterable[DuplicatePair]
+) -> list[set[str]]:
+    """Connected components (size ≥ 2) of the near-duplicate graph.
+
+    Clusters are the groups a deduplication pass would resolve together
+    (merge, drop, or version-link), sorted largest first.
+    """
+    components: UnionFind = UnionFind(names)
+    for pair in pairs:
+        components.union(pair.first, pair.second)
+    clusters = [
+        set(group) for group in components.classes() if len(group) >= 2
+    ]
+    clusters.sort(key=lambda c: (-len(c), sorted(c)))
+    return clusters
+
+
 def _aligned_pair(
     query: Instance, candidate: Instance
 ) -> tuple[Instance, Instance]:
-    """The pair as the brute-force path would compare it (aligned if needed)."""
+    """The pair as :class:`QueryComparer` compares it (aligned if needed)."""
     if query.schema.is_compatible_with(candidate.schema):
         return query, candidate
     return align_schemas(query, candidate)
@@ -258,20 +328,24 @@ def _aligned_pair(
 
 def _refine_batch(
     index: "SimilarityIndex",
-    comparer: QueryComparer,
-    names: Sequence[str],
+    batch: Sequence[tuple[QueryComparer, str]],
     policy: RefinePolicy,
 ) -> list[ComparisonResult]:
-    """Run full comparisons for a chunk of candidates, serial or pooled."""
+    """Run full comparisons for a chunk of (comparer, candidate) pairs.
+
+    Serial by default; pooled through :func:`compare_many` when the policy
+    needs workers.
+    """
     if not policy.needs_workers:
         results = []
-        for name in names:
+        for comparer, name in batch:
             result = comparer.compare(index.get(name))
             assert result is not None  # comparability pre-checked by bounds
             results.append(result)
         return results
     pairs = [
-        _aligned_pair(comparer.query, index.get(name)) for name in names
+        _aligned_pair(comparer.query, index.get(name))
+        for comparer, name in batch
     ]
     return compare_many(
         pairs,
@@ -349,25 +423,20 @@ def _refine_search_impl(
     chunk = max(1, policy.jobs)
     while position < len(order):
         if len(hits) >= top_k:
-            hits.sort(key=lambda h: (-h.similarity, h.name))
+            hits.sort(key=_hit_order)
             kth_similarity = hits[top_k - 1].similarity
             if bounds[order[position]] < kth_similarity:
                 break  # nothing left can enter the top-k (bound admissible)
         batch = order[position : position + chunk]
         position += len(batch)
-        for name, result in zip(
-            batch, _refine_batch(index, comparer, batch, policy)
-        ):
+        results = _refine_batch(
+            index, [(comparer, name) for name in batch], policy
+        )
+        for name, result in zip(batch, results):
             report.refined += 1
-            hits.append(
-                SearchHit(
-                    name=name,
-                    similarity=result.similarity,
-                    matched_tuples=len(result.match.m),
-                )
-            )
+            hits.append(_hit(name, result))
     report.pruned = len(order) - report.refined
-    hits.sort(key=lambda h: (-h.similarity, h.name))
+    hits.sort(key=_hit_order)
     return hits[:top_k], report
 
 
@@ -439,52 +508,30 @@ def _refine_dedup_impl(
             item[1],
         )
     )
+    # One comparer per first table, so each is looked up in the cache once.
+    spec = policy.resolved_algorithm()
+    comparers = {
+        first: QueryComparer(
+            index.cache, index.options, index.get(first), spec=spec
+        )
+        for first in {first for first, _second, _bound in survivors}
+    }
     pairs: list[DuplicatePair] = []
     position = 0
     chunk = max(1, policy.jobs)
     while position < len(survivors):
         batch = survivors[position : position + chunk]
         position += len(batch)
-        comparers = [
-            (
-                first,
-                second,
-                QueryComparer(
-                    index.cache,
-                    index.options,
-                    index.get(first),
-                    spec=policy.resolved_algorithm(),
-                ),
-            )
-            for first, second, _bound in batch
-        ]
-        if not policy.needs_workers:
-            results = [
-                comparer.compare(index.get(second))
-                for _first, second, comparer in comparers
-            ]
-        else:
-            raw_pairs = [
-                _aligned_pair(index.get(first), index.get(second))
-                for first, second, _bound in batch
-            ]
-            results = compare_many(
-                raw_pairs,
-                policy.resolved_algorithm(),
-                index.options,
-                jobs=policy.jobs,
-                cache=index.cache,
-                deadline=policy.deadline,
-                limits=policy.limits,
-                retry=policy.retry,
-                fault_plan=policy.fault_plan,
-                out=policy.out,
-            )
+        results = _refine_batch(
+            index,
+            [(comparers[first], second) for first, second, _bound in batch],
+            policy,
+        )
         for (first, second, _bound), result in zip(batch, results):
             report.refined += 1
-            if result is not None and result.similarity >= threshold:
+            if result.similarity >= threshold:
                 pairs.append(DuplicatePair(first, second, result.similarity))
-    pairs.sort(key=lambda p: (-p.similarity, p.first, p.second))
+    pairs.sort(key=_pair_order)
     return pairs, report
 
 
@@ -494,6 +541,9 @@ __all__ = [
     "RefinePolicy",
     "RefineReport",
     "SearchHit",
+    "brute_force_dedup",
+    "brute_force_search",
+    "cluster_duplicates",
     "refine_dedup",
     "refine_search",
 ]

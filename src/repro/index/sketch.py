@@ -27,7 +27,7 @@ score numerator ``Σ_t score(M,t) + Σ_t' score(M,t')`` for *any* instance
 match ``M`` — each tuple's score is an average of pair scores, each of which
 the column-wise maxima dominate.  Dividing by the exact denominator
 ``size(I) + size(I')`` (computed on the Sec. 4.3 aligned schema, exactly as
-the brute-force path pads it) yields the bound.  Under fully injective
+full comparison pads it) yields the bound.  Under fully injective
 options the bound tightens to multiset intersections and a
 ``min(|I|,|I'|)·arity`` cap per relation, both of which still dominate any
 1:1 match.  ``tests/properties/test_sketch_bound.py`` checks the inequality
@@ -479,7 +479,7 @@ def estimated_jaccard(left: InstanceSketch, right: InstanceSketch) -> float:
 
 
 def comparable(query: InstanceSketch, candidate: InstanceSketch) -> bool:
-    """Whether the sketched instances are lake-comparable (same relations)."""
+    """Whether the sketched instances are comparable (same relations)."""
     return query.relation_names() == candidate.relation_names()
 
 
@@ -568,9 +568,9 @@ def similarity_upper_bound(
 
     Computed entirely from the two sketches in ``O(sketch size)`` — no
     tuple alignment, no unification — on the Sec. 4.3 *aligned* schema
-    (union of attributes per relation), exactly the shape the brute-force
-    lake path pads to.  Returns 0.0 for incomparable sketches (different
-    relation names), mirroring the lake's skip.
+    (union of attributes per relation), exactly the shape full comparison
+    pads to.  Returns 0.0 for incomparable sketches (different relation
+    names), mirroring the skip in search and dedup.
 
     The bound dominates the true score for *any* instance match honoring
     ``options``; pruning with it therefore never drops a true top-k hit or

@@ -1,11 +1,22 @@
-"""Tests for data-lake discovery (search / near-duplicates)."""
+"""Data-lake discovery on the similarity index: search and near-duplicates.
+
+The paper's two Sec. 1 applications, dataset search by example and
+near-duplicate detection, served by :class:`SimilarityIndex` and checked
+against the brute-force oracle.
+"""
 
 import pytest
 
 from repro.core.instance import Instance
 from repro.datagen.perturb import PerturbationConfig, perturb
 from repro.datagen.synthetic import generate_dataset
-from repro.discovery.lake import DataLake
+from repro.index import (
+    QueryComparer,
+    SimilarityIndex,
+    brute_force_dedup,
+    brute_force_search,
+    cluster_duplicates,
+)
 from repro.versioning.operations import removed_columns_version
 
 
@@ -15,7 +26,7 @@ def simple(rows, name="I", relation="R", attrs=("A", "B")):
 
 @pytest.fixture
 def lake():
-    lake = DataLake()
+    lake = SimilarityIndex()
     lake.add("orig", simple([("x", 1), ("y", 2), ("z", 3)]))
     lake.add("copy", simple([("x", 1), ("y", 2), ("z", 3)]))
     lake.add("near", simple([("x", 1), ("y", 2), ("q", 9)]))
@@ -41,10 +52,6 @@ class TestRegistry:
         """A typo'd lookup should not require a second call to debug."""
         with pytest.raises(KeyError, match="known tables.*'copy'"):
             lake.get("mistyped")
-
-    def test_compare_unknown_names_known_tables(self, lake):
-        with pytest.raises(KeyError, match="known tables"):
-            lake.compare(simple([("x", 1)]), "mistyped")
 
     def test_remove_unknown_names_known_tables(self, lake):
         with pytest.raises(KeyError, match="known tables"):
@@ -73,7 +80,7 @@ class TestSearch:
         assert lake.search(simple([("x", 1)]), top_k=-3) == []
 
     def test_empty_lake_fast_path(self):
-        empty = DataLake()
+        empty = SimilarityIndex()
         assert empty.search(simple([("x", 1)])) == []
         assert empty.cache.stats()["misses"] == 0
 
@@ -85,17 +92,14 @@ class TestSearch:
 
     def test_index_and_brute_force_agree(self, lake):
         """The sketch index path returns exactly the brute-force hits."""
-        brute = DataLake(use_index=False)
-        for name, instance in lake.tables():
-            brute.add(name, instance)
         for query in (
             simple([("x", 1), ("y", 2), ("z", 3)]),
             simple([("x", 1)]),
             simple([("p", 7), ("q", 8)]),
         ):
             for top_k in (1, 2, 10):
-                assert lake.search(query, top_k=top_k) == brute.search(
-                    query, top_k=top_k
+                assert lake.search(query, top_k=top_k) == brute_force_search(
+                    lake, query, top_k
                 )
 
     def test_query_prepared_once_across_candidates(self, lake):
@@ -142,7 +146,7 @@ class TestNearDuplicates:
         assert all("far" not in cluster for cluster in clusters)
 
     def test_no_duplicates(self):
-        lake = DataLake()
+        lake = SimilarityIndex()
         lake.add("a", simple([("1", "2")]))
         lake.add("b", simple([("3", "4")]))
         assert lake.near_duplicates() == []
@@ -150,7 +154,7 @@ class TestNearDuplicates:
 
     def test_cluster_transitivity(self):
         """a~b, b~c (but not a~c) still cluster {a, b, c} together."""
-        lake = DataLake()
+        lake = SimilarityIndex()
         lake.add("a", simple([("1", "2"), ("3", "4"), ("5", "6")]))
         lake.add("b", simple([("1", "2"), ("3", "4"), ("7", "8")]))
         lake.add("c", simple([("9", "0"), ("3", "4"), ("7", "8")]))
@@ -167,16 +171,12 @@ class TestNearDuplicates:
         assert all("z" not in cluster for cluster in clusters)
 
     def test_dedup_index_and_brute_force_agree(self, lake):
-        brute = DataLake(use_index=False)
-        for name, instance in lake.tables():
-            brute.add(name, instance)
         for threshold in (0.5, 0.8, 0.99):
-            assert lake.near_duplicates(
-                threshold=threshold
-            ) == brute.near_duplicates(threshold=threshold)
+            brute = brute_force_dedup(lake, threshold)
+            assert lake.near_duplicates(threshold=threshold) == brute
             assert lake.duplicate_clusters(
                 threshold=threshold
-            ) == brute.duplicate_clusters(threshold=threshold)
+            ) == cluster_duplicates(lake.names(), brute)
 
 
 class TestIncomparableSchemas:
@@ -190,13 +190,14 @@ class TestIncomparableSchemas:
 
     def test_compare_incomparable_returns_none(self, lake):
         query = Instance.from_rows("Other", ("A", "B"), [("x", 1)])
-        assert lake.compare(query, "orig") is None
+        comparer = QueryComparer(lake.cache, lake.options, query)
+        assert comparer.compare(lake.get("orig")) is None
 
 
 class TestPersistence:
     def test_save_and_load_roundtrip(self, lake, tmp_path):
         lake.save(tmp_path / "store")
-        loaded = DataLake.load(tmp_path / "store")
+        loaded = SimilarityIndex.load(tmp_path / "store")
         assert loaded.names() == lake.names()
         query = simple([("x", 1), ("y", 2), ("z", 3)])
         assert loaded.search(query, top_k=4) == lake.search(query, top_k=4)
@@ -211,7 +212,7 @@ class TestIncompleteTables:
             "Iris", base.schema.relation("Iris").attributes,
             [t.values for t in dirty.tuples()], name="dirty",
         )
-        lake = DataLake()
+        lake = SimilarityIndex()
         lake.add("base", base)
         lake.add("dirty-version", dirty)
         lake.add("other", generate_dataset("iris", rows=40, seed=99))

@@ -6,13 +6,17 @@ from repro.core.instance import Instance
 from repro.core.values import LabeledNull
 from repro.datagen.perturb import PerturbationConfig, perturb
 from repro.datagen.synthetic import generate_dataset
-from repro.discovery.lake import DataLake
 from repro.index import (
     IndexParams,
+    InstanceSketch,
+    LSHIndex,
     RefinePolicy,
     SimilarityIndex,
+    brute_force_dedup,
+    brute_force_search,
     refine_search,
 )
+from repro.index import refine
 
 PARAMS = IndexParams(num_perms=16, bands=4, rows=2)
 
@@ -31,18 +35,12 @@ def corpus_index():
     return index
 
 
-def brute_force_hits(index, query, top_k):
-    lake = DataLake.from_index(index)
-    lake.use_index = False
-    return lake.search(query, top_k=top_k)
-
-
 class TestSearchExactness:
     @pytest.mark.parametrize("top_k", [1, 2, 4, 10])
     def test_identical_to_brute_force(self, top_k):
         index = corpus_index()
         query = simple([("x", 1), ("y", 2), ("z", 3)])
-        assert index.search(query, top_k=top_k) == brute_force_hits(
+        assert index.search(query, top_k=top_k) == brute_force_search(
             index, query, top_k
         )
 
@@ -84,7 +82,7 @@ class TestSearchExactness:
         index.add("other", simple(rows[:4] + [(99, "zz")]))
         query = simple(rows)
         hits = index.search(query, top_k=1)
-        assert hits == brute_force_hits(index, query, top_k=1)
+        assert hits == brute_force_search(index, query, top_k=1)
         assert [(h.name, h.similarity) for h in hits] == [("float", 1.0)]
 
 
@@ -122,12 +120,69 @@ class TestPruning:
 
     def test_dedup_identical_to_brute_force(self):
         index = corpus_index()
-        lake = DataLake.from_index(index)
-        lake.use_index = False
         for threshold in (0.5, 0.8, 0.99):
             assert index.near_duplicates(
                 threshold=threshold
-            ) == lake.near_duplicates(threshold=threshold)
+            ) == brute_force_dedup(index, threshold)
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("the brute-force oracle touched the index machinery")
+
+
+def forbid_index_machinery(monkeypatch):
+    """Make every sketch, bound and LSH read raise.
+
+    Each is patched at the name the code looks it up by: refine.py's
+    module globals, and the class attributes of the shared classes.
+    """
+    monkeypatch.setattr(refine, "similarity_upper_bound", _unreachable)
+    monkeypatch.setattr(refine, "comparable", _unreachable)
+    monkeypatch.setattr(InstanceSketch, "build", _unreachable)
+    monkeypatch.setattr(LSHIndex, "candidates", _unreachable)
+    monkeypatch.setattr(LSHIndex, "candidate_pairs", _unreachable)
+    monkeypatch.setattr(SimilarityIndex, "sketch", _unreachable)
+
+
+class TestBruteForceOracle:
+    """The oracle reads no sketch, bound or LSH bucket."""
+
+    def test_patches_reach_the_index_path(self, monkeypatch):
+        index = corpus_index()
+        forbid_index_machinery(monkeypatch)
+        with pytest.raises(AssertionError, match="oracle touched"):
+            index.search(simple([("x", 1)]), top_k=1)
+        with pytest.raises(AssertionError, match="oracle touched"):
+            index.near_duplicates(threshold=0.5)
+
+    def test_search_without_index_machinery(self, monkeypatch):
+        index = corpus_index()
+        query = simple([("x", 1), ("y", 2), ("z", 3)])
+        expected = index.search(query, top_k=10)
+        forbid_index_machinery(monkeypatch)
+        hits = brute_force_search(index, query, 10)
+        assert hits == expected
+        assert [h.name for h in hits] == ["copy", "orig", "near", "far"]
+
+    def test_dedup_without_index_machinery(self, monkeypatch):
+        index = corpus_index()
+        expected = index.near_duplicates(threshold=0.5)
+        forbid_index_machinery(monkeypatch)
+        pairs = brute_force_dedup(index, 0.5)
+        assert pairs == expected
+        assert ("copy", "orig") in {(p.first, p.second) for p in pairs}
+
+    def test_fast_paths_without_index_machinery(self, monkeypatch):
+        index = corpus_index()
+        empty = SimilarityIndex(params=PARAMS)
+        forbid_index_machinery(monkeypatch)
+        query = simple([("x", 1)])
+        assert brute_force_search(index, query, 0) == []
+        assert brute_force_search(index, query, -3) == []
+        assert brute_force_search(empty, query, 5) == []
+        assert brute_force_dedup(empty, 0.0) == []
+        assert index.cache.stats()["misses"] == 0
+        assert empty.cache.stats()["misses"] == 0
 
 
 class TestApproximateMode:
@@ -195,7 +250,7 @@ class TestRealisticCorpus:
             ))
         query = index.get("v1")
         for top_k in (1, 3, 6):
-            assert index.search(query, top_k=top_k) == brute_force_hits(
+            assert index.search(query, top_k=top_k) == brute_force_search(
                 index, query, top_k
             )
 
@@ -217,7 +272,7 @@ class TestRealisticCorpus:
             index.add(other, table(other))
         hits = index.search(base, top_k=2)
         report = index.last_report
-        assert hits == brute_force_hits(index, base, 2)
+        assert hits == brute_force_search(index, base, 2)
         assert [h.name for h in hits] == ["base", "near"]
         assert report.pruned >= 3  # the unrelated tables never refine
         assert report.refined < report.candidates

@@ -251,6 +251,22 @@ class TestIndexCommands:
             sorted([csv_lake["a"], csv_lake["b"]])
         ]
 
+    def test_dedup_brute_force_parity(self, csv_lake, tmp_path, capsys):
+        store = str(tmp_path / "store")
+        main(["index", "build", store, *csv_lake.values()])
+        capsys.readouterr()
+        dedup = ["index", "dedup", store, "--threshold", "0.6",
+                 "--clusters", "--json"]
+        assert main(dedup) == 0
+        indexed = json.loads(capsys.readouterr().out)
+        assert main([*dedup, "--brute-force"]) == 0
+        brute = json.loads(capsys.readouterr().out)
+        assert indexed["pairs"] == brute["pairs"]
+        assert indexed["clusters"] == brute["clusters"]
+        assert indexed["clusters"] == [sorted([csv_lake["a"], csv_lake["b"]])]
+        assert brute["report"] is None
+        assert indexed["report"]["refined"] >= 1
+
     def test_add_update_json_reports_incremental(self, csv_lake, tmp_path,
                                                  capsys):
         store = str(tmp_path / "store")
