@@ -10,7 +10,7 @@ The scenario is the ROADMAP's globally-optimal matching rung: the greedy
 signature algorithm commits pairs in local-score order and can strand a
 tuple with its second-best partner, while the assignment algorithm solves
 each relation's candidate matrix as a min-cost 1:1 completion
-(Jonker-Volgenant / Hungarian) and therefore never scores below greedy.
+(sparse Jonker-Volgenant) and therefore never scores below greedy.
 
 Gates (any failure exits 1):
 

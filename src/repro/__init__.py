@@ -101,7 +101,7 @@ from .runtime.anytime import DEFAULT_ANYTIME_NODE_BUDGET
 from .runtime.budget import DEFAULT_CHECK_INTERVAL
 from .scoring.match_score import score_match
 
-__version__ = "7.0.0"
+__version__ = "8.0.0"
 
 
 def compare(
@@ -134,7 +134,7 @@ def compare(
         * ``Algorithm.SIGNATURE`` — greedy approximate (Alg. 3–4), scalable;
           knobs on :class:`SignatureOptions`;
         * ``Algorithm.ASSIGNMENT`` — greedy-seeded globally-optimal 1:1
-          completion (Hungarian / Jonker-Volgenant), polynomial, score ≥
+          completion (sparse Jonker-Volgenant), polynomial, score ≥
           signature; knobs on :class:`AssignmentOptions`;
         * ``Algorithm.EXACT`` — optimal branch-and-bound, exponential;
           knobs on :class:`ExactOptions`;

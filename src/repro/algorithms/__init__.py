@@ -19,6 +19,7 @@ from .options import (
     SignatureOptions,
     resolve_algorithm,
 )
+from .pair import PreparedPair
 from .refine import DEFAULT_MOVE_BUDGET, refine_match
 from .partial import (
     all_signatures,
@@ -45,6 +46,7 @@ __all__ = [
     "ExactOptions",
     "GroundOptions",
     "PartialOptions",
+    "PreparedPair",
     "SignatureIndex",
     "SignatureOptions",
     "Unifier",

@@ -13,10 +13,10 @@ scores (:func:`~repro.algorithms.signature.optimistic_pair_score`) of the
 ``CompatibleTuples`` candidate matrix:
 
 * :func:`solve_assignment` — a dependency-free sparse **Jonker-Volgenant**
-  (shortest-augmenting-path) max-weight assignment solver.  Rows may stay
-  unmatched (each row owns a zero-weight dummy column), the dual is seeded
-  from the row maxima so greedy-optimal rows pre-match without a single
-  Dijkstra step, and small blocks take a dense O(n³) Hungarian fallback.
+  (shortest-augmenting-path) max-weight assignment solver, the one solver
+  for every block size.  Rows may stay unmatched (each row owns a
+  zero-weight dummy column), and the dual is seeded from the row maxima so
+  greedy-optimal rows pre-match without a single Dijkstra step.
 * :func:`assignment_compare` — the ``Algorithm.ASSIGNMENT`` rung: greedy
   seeds (and floors) the result, the solver re-derives the per-relation
   1:1 core optimally, the greedy completion step extends it where the
@@ -44,7 +44,7 @@ to the per-tuple maxima ``Σ_t max_t' w(t,t') + Σ_t' max_t w(t,t')``, which
 dominates any distribution over images.
 
 Determinism: solver input is canonicalized (rows and columns sorted by
-tuple id), both solvers break ties by column index, and solved pairs are
+tuple id), the solver breaks ties by column index, and solved pairs are
 committed to the match in **descending weight, then (left id, right id)**
 order — the documented tie-break the differential tests pin down.
 """
@@ -64,17 +64,13 @@ from ..runtime.budget import Budget, resolve_control
 from ..runtime.faults import InjectedFault
 from ..runtime.outcome import Outcome
 from ..scoring.match_score import score_match
-from ..scoring.sizes import normalization_denominator
-from .compatibility import compatible_tuples_of_instances
+from .pair import PreparedPair, RelationBlock
 from .result import ComparisonResult
 from .signature import optimistic_pair_score, signature_compare
 
 DEFAULT_MAX_BLOCK_SIZE = 512
 """Per-relation block-size cap: larger candidate blocks keep greedy pairs
 (and enter :func:`assignment_bounds` with their row maxima, unsolved)."""
-
-DENSE_FALLBACK_SIZE = 24
-"""Blocks up to this many rows/columns use the dense Hungarian fallback."""
 
 _EPS = 1e-9
 
@@ -89,9 +85,9 @@ class AssignmentSolution:
     ``value`` is the maximum total weight of any matching in the block
     (rows/columns used at most once, either side may stay unmatched).
     ``pairs`` realize it, sorted by the documented commit tie-break
-    ``(-weight, row, col)``.  ``solver`` names the code path (``"jv"`` or
-    ``"dense"``) and ``seeded`` counts rows the greedy dual seeding
-    pre-matched without an augmentation.
+    ``(-weight, row, col)``.  ``solver`` names the code path (``"jv"``)
+    and ``seeded`` counts rows the greedy dual seeding pre-matched without
+    an augmentation.
     """
 
     value: float
@@ -106,15 +102,13 @@ def solve_assignment(
     n_cols: int,
     *,
     control: Budget | None = None,
-    dense_threshold: int = DENSE_FALLBACK_SIZE,
 ) -> AssignmentSolution | None:
     """Maximum-weight matching over a sparse non-negative weight matrix.
 
     ``weights`` maps ``(row, col)`` to a weight ≥ 0; absent entries are
     forbidden edges.  Rows and columns may stay unmatched (zero-weight
     edges are dropped — they never change the value and keep the output
-    canonical).  Blocks whose larger side is ≤ ``dense_threshold`` run the
-    dense O(n³) Hungarian fallback; larger blocks run sparse JV.
+    canonical).  Every block runs sparse JV.
 
     ``control`` is spent one node per augmented row; a tripped budget
     aborts and returns ``None`` (the caller degrades to its greedy seed).
@@ -132,8 +126,6 @@ def solve_assignment(
         return AssignmentSolution(0.0, (), "jv")
     for row_edges in edges.values():
         row_edges.sort()
-    if max(n_rows, n_cols) <= dense_threshold:
-        return _solve_dense(edges, n_rows, n_cols, control)
     return _solve_sparse_jv(edges, n_cols, control)
 
 
@@ -260,83 +252,6 @@ def _solve_sparse_jv(
     )
 
 
-def _solve_dense(
-    edges: dict[int, list[tuple[int, float]]],
-    n_rows: int,
-    n_cols: int,
-    control: Budget | None,
-) -> AssignmentSolution | None:
-    """Dense O(n³) Hungarian fallback on a square padded cost matrix.
-
-    Forbidden edges and dummy padding share the cost ``maxw`` (= weight 0),
-    so the min-cost perfect matching on the padded square is exactly the
-    max-weight matching with unmatched rows/columns allowed.
-    """
-    weight_lookup = {
-        (row, col): w
-        for row, row_edges in edges.items()
-        for col, w in row_edges
-    }
-    n = max(n_rows, n_cols)
-    maxw = max(weight_lookup.values())
-    cost = [[maxw] * n for _ in range(n)]
-    for (row, col), w in weight_lookup.items():
-        cost[row][col] = maxw - w
-
-    # Potentials + shortest augmenting path; column ``n`` is the virtual
-    # start column and row index ``n`` marks a free column.
-    INF = float("inf")
-    u = [0.0] * (n + 1)
-    v = [0.0] * (n + 1)
-    match_col = [n] * (n + 1)  # match_col[j]: row matched to column j
-    way = [n] * (n + 1)
-    for i in range(n):
-        if control is not None and not control.spend():
-            return None
-        match_col[n] = i
-        j0 = n
-        minv = [INF] * (n + 1)
-        used = [False] * (n + 1)
-        while True:
-            used[j0] = True
-            i0 = match_col[j0]
-            delta = INF
-            j1 = n
-            for j in range(n):
-                if used[j]:
-                    continue
-                current = cost[i0][j] - u[i0] - v[j]
-                if current < minv[j]:
-                    minv[j] = current
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[match_col[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if match_col[j0] == n:
-                break
-        while j0 != n:
-            j1 = way[j0]
-            match_col[j0] = match_col[j1]
-            j0 = j1
-
-    matched = [
-        (match_col[j], j)
-        for j in range(n)
-        if match_col[j] != n and (match_col[j], j) in weight_lookup
-    ]
-    value = sum(weight_lookup[pair] for pair in matched)
-    return AssignmentSolution(
-        value, _canonical_pairs(matched, weight_lookup), "dense"
-    )
-
-
 def brute_force_best_matching(
     weights: Mapping[tuple[int, int], float],
     n_rows: int,
@@ -369,68 +284,18 @@ def brute_force_best_matching(
 # -- candidate matrix extraction ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class RelationBlock:
-    """One relation's candidate weight matrix in canonical (id-sorted) order."""
-
-    name: str
-    left_ids: tuple[str, ...]
-    right_ids: tuple[str, ...]
-    weights: dict[tuple[int, int], float]
-
-    @property
-    def size(self) -> int:
-        return max(len(self.left_ids), len(self.right_ids))
-
-    def row_maxima(self) -> list[float]:
-        out = [0.0] * len(self.left_ids)
-        for (row, _col), w in self.weights.items():
-            if w > out[row]:
-                out[row] = w
-        return out
-
-    def col_maxima(self) -> list[float]:
-        out = [0.0] * len(self.right_ids)
-        for (_row, col), w in self.weights.items():
-            if w > out[col]:
-                out[col] = w
-        return out
-
-
 def candidate_blocks(
-    left: Instance,
-    right: Instance,
-    lam: float,
-    compatible: dict[str, list[str]] | None = None,
+    left: Instance, right: Instance, lam: float
 ) -> list[RelationBlock]:
     """Per-relation sparse weight blocks over the compatible-pair matrix.
 
     Rows/columns are sorted by tuple id (canonical order — this is what
     makes the solver invariant under tuple shuffles), weights are
     :func:`optimistic_pair_score`.  Relations without candidate pairs
-    yield empty-weight blocks.
+    yield empty-weight blocks.  The one-shot form of
+    :attr:`PreparedPair.blocks <repro.algorithms.pair.PreparedPair.blocks>`.
     """
-    if compatible is None:
-        compatible = compatible_tuples_of_instances(left, right)
-    blocks = []
-    for relation in left.relations():
-        name = relation.schema.name
-        right_relation = right.relation(name)
-        left_ids = tuple(sorted(t.tuple_id for t in relation))
-        right_ids = tuple(sorted(t.tuple_id for t in right_relation))
-        col_index = {right_id: j for j, right_id in enumerate(right_ids)}
-        weights: dict[tuple[int, int], float] = {}
-        for row, left_id in enumerate(left_ids):
-            t = left.get_tuple(left_id)
-            for right_id in compatible.get(left_id, ()):
-                col = col_index.get(right_id)
-                if col is None:  # candidate from another relation
-                    continue
-                weights[(row, col)] = optimistic_pair_score(
-                    t, right.get_tuple(right_id), lam
-                )
-        blocks.append(RelationBlock(name, left_ids, right_ids, weights))
-    return blocks
+    return list(PreparedPair(left, right, MatchOptions(lam=lam)).blocks)
 
 
 # -- admissible bounds --------------------------------------------------------
@@ -464,7 +329,7 @@ def assignment_bounds(
     right: Instance,
     options: MatchOptions | None = None,
     *,
-    compatible: dict[str, list[str]] | None = None,
+    pair: PreparedPair | None = None,
 ) -> AssignmentBound:
     """Admissible upper bound on the true similarity of ``left``/``right``.
 
@@ -473,40 +338,37 @@ def assignment_bounds(
     relaxation is unsound once a tuple may score against several
     partners).  Blocks over :data:`DEFAULT_MAX_BLOCK_SIZE` contribute
     their row-maxima sum instead of a solved value: still admissible, just
-    looser.
+    looser.  The bound solves ``pair``'s blocks
+    (:class:`~repro.algorithms.pair.PreparedPair`, built here when
+    omitted).
     """
-    if options is None:
-        options = MatchOptions.general()
-    blocks = candidate_blocks(left, right, options.lam, compatible=compatible)
+    pair = PreparedPair.of(pair, left, right, options)
     solved: dict[str, float] = {}
-    if options.fully_injective:
-        for block in blocks:
+    if pair.options.fully_injective:
+        for block in pair.blocks:
             if block.weights and block.size <= DEFAULT_MAX_BLOCK_SIZE:
                 solved[block.name] = solve_assignment(
                     block.weights, len(block.left_ids), len(block.right_ids)
                 ).value
-    return _relaxation_bound(left, right, options, blocks, solved)
+    return _relaxation_bound(pair, solved)
 
 
 def _relaxation_bound(
-    left: Instance,
-    right: Instance,
-    options: MatchOptions,
-    blocks: list[RelationBlock],
-    solved: Mapping[str, float],
+    pair: PreparedPair, solved: Mapping[str, float]
 ) -> AssignmentBound:
-    """Package solved block values as an :class:`AssignmentBound`.
+    """Package solved block values of ``pair`` as an :class:`AssignmentBound`.
 
     ``solved`` maps relation name to its block's solved 1:1 value; a block
     with candidates but no solved value contributes its row-maxima sum.
     """
-    denominator = normalization_denominator(left, right)
+    blocks = pair.blocks
+    denominator = pair.denominator
     if denominator == 0:
-        return AssignmentBound(1.0, 0.0, 0.0, True, {}, tuple(blocks))
+        return AssignmentBound(1.0, 0.0, 0.0, True, {}, blocks)
     per_tuple = 0.0
     relaxation = 0.0
     per_relation: dict[str, float] = {}
-    injective = options.fully_injective
+    injective = pair.options.fully_injective
     for block in blocks:
         row_max = block.row_maxima()
         per_tuple += sum(row_max) + sum(block.col_maxima())
@@ -525,7 +387,7 @@ def _relaxation_bound(
         per_tuple_value=per_tuple,
         injective_relaxation=injective,
         per_relation=per_relation,
-        blocks=tuple(blocks),
+        blocks=blocks,
     )
 
 
@@ -547,9 +409,8 @@ def assignment_compare(
     options: MatchOptions | None = None,
     align_preference: bool = True,
     control: Budget | None = None,
-    left_index=None,
-    right_index=None,
     seed_result: ComparisonResult | None = None,
+    pair: PreparedPair | None = None,
 ) -> ComparisonResult:
     """Greedy-seeded, optimally-completed 1:1 matching (the assignment rung).
 
@@ -560,9 +421,8 @@ def assignment_compare(
        returned score never drops below this floor.
     2. **solve** — per relation, the max-weight 1:1 assignment over the
        optimistic pair scores of the compatible-pair matrix (sparse JV;
-       dense Hungarian up to :data:`DENSE_FALLBACK_SIZE`; blocks larger
-       than :data:`DEFAULT_MAX_BLOCK_SIZE` keep the floor's pairs for that
-       relation).
+       blocks larger than :data:`DEFAULT_MAX_BLOCK_SIZE` keep the floor's
+       pairs for that relation).
     3. **commit** — solved pairs enter a fresh match in descending-weight
        order (the documented tie-break), the greedy completion step then
        extends it where the options allow, and the better-scoring of
@@ -572,13 +432,15 @@ def assignment_compare(
     ``"budget"`` faults) during phases 2–3 **degrades to greedy**: the
     floor result is returned with the triggering outcome and
     ``stats["degraded_to_greedy"] = True``.
+
+    ``pair`` is the :class:`~repro.algorithms.pair.PreparedPair` of
+    ``left`` and ``right``, built here when omitted.
     """
     # Private helpers reused in place; signature.py does not import us.
     from .signature import _MatchState, _completion_step
 
-    if options is None:
-        options = MatchOptions.general()
-    left.assert_comparable_with(right)
+    pair = PreparedPair.of(pair, left, right, options)
+    options = pair.options
     started = time.perf_counter()
     control = resolve_control(control)
 
@@ -596,8 +458,7 @@ def assignment_compare(
                     token=control.token,
                     check_interval=control.check_interval,
                 ),
-                left_index=left_index,
-                right_index=right_index,
+                pair=pair,
             )
         else:
             floor = seed_result
@@ -617,7 +478,6 @@ def assignment_compare(
 
         if not degraded:
             try:
-                blocks = candidate_blocks(left, right, options.lam)
                 floor_by_relation: dict[str, list[tuple[str, str]]] = {}
                 for left_id, right_id in floor.match.m:
                     name = left.get_tuple(left_id).relation.name
@@ -626,7 +486,7 @@ def assignment_compare(
                     )
                 selected: list[tuple[float, str, str]] = []
                 solved: dict[str, float] = {}
-                for block in blocks:
+                for block in pair.blocks:
                     if not block.weights:
                         continue
                     if block.size > DEFAULT_MAX_BLOCK_SIZE:
@@ -676,9 +536,7 @@ def assignment_compare(
                         key=lambda item: (-item[0], item[1], item[2])
                     )
                     state = _MatchState(
-                        left,
-                        right,
-                        options,
+                        pair,
                         align_preference=align_preference,
                         control=control,
                     )
@@ -706,9 +564,7 @@ def assignment_compare(
                         options=options,
                         algorithm="assignment",
                     )
-                    bound = _relaxation_bound(
-                        left, right, options, blocks, solved
-                    )
+                    bound = _relaxation_bound(pair, solved)
             except (MemoryError, TimeoutError, InjectedFault) as error:
                 # Injected (or real) resource faults degrade to the floor
                 # with a classified outcome.  InjectedCrash is a
@@ -768,7 +624,6 @@ __all__ = [
     "AssignmentBound",
     "AssignmentSolution",
     "DEFAULT_MAX_BLOCK_SIZE",
-    "DENSE_FALLBACK_SIZE",
     "RelationBlock",
     "assignment_bounds",
     "assignment_compare",

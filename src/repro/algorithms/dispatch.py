@@ -16,6 +16,7 @@ from ..core.instance import Instance
 from ..mappings.constraints import MatchOptions
 from ..runtime.budget import Budget
 from ..runtime.cancellation import CancellationToken
+from ..runtime.outcome import Outcome
 from .assignment import assignment_compare
 from .exact import exact_compare
 from .ground import ground_compare
@@ -28,6 +29,7 @@ from .options import (
     PartialOptions,
     SignatureOptions,
 )
+from .pair import PreparedPair
 from .partial import partial_signature_compare
 from .result import ComparisonResult
 from .signature import signature_compare
@@ -86,17 +88,15 @@ def run_algorithm(
     deadline: float | None = None,
     token: CancellationToken | None = None,
     executor: "Executor | None" = None,
-    left_index=None,
-    right_index=None,
+    pair: PreparedPair | None = None,
 ) -> ComparisonResult:
     """Run the algorithm selected by ``spec`` on prepared instances.
 
     ``left``/``right`` must already have disjoint tuple ids and nulls (see
-    :func:`repro.core.instance.prepare_for_comparison`).  ``left_index`` /
-    ``right_index`` are optional precomputed
-    :class:`~repro.algorithms.signature.SignatureIndex` objects reused by
-    the signature-based algorithms (the parallel engine's cache supplies
-    them); algorithms that cannot exploit them ignore them.
+    :func:`repro.core.instance.prepare_for_comparison`).  ``pair`` is
+    their :class:`~repro.algorithms.pair.PreparedPair`, e.g. one sharing
+    the parallel engine's cached signature indexes; the signature,
+    assignment and exact algorithms read it, the others ignore it.
     """
     validate_controls(spec, deadline=deadline, token=token, executor=executor)
     algorithm = spec.algorithm
@@ -117,8 +117,7 @@ def run_algorithm(
             options=options,
             align_preference=spec.align_preference,
             control=control,
-            left_index=left_index,
-            right_index=right_index,
+            pair=pair,
         )
     elif algorithm is Algorithm.ASSIGNMENT:
         return assignment_compare(
@@ -127,24 +126,22 @@ def run_algorithm(
             options=options,
             align_preference=spec.align_preference,
             control=control,
-            left_index=left_index,
-            right_index=right_index,
+            pair=pair,
         )
     elif algorithm is Algorithm.EXACT:
+        pair = PreparedPair.of(pair, left, right, options)
         if executor is not None:
             return _exact_with_executor(
-                left, right, spec, options, control, executor,
-                deadline=deadline, token=token,
+                pair, spec, control, executor, deadline=deadline, token=token
             )
-        else:
-            return exact_compare(
-                left,
-                right,
-                options=options,
-                node_budget=spec.node_budget,
-                prune=spec.prune,
-                control=control,
-            )
+        return exact_compare(
+            left,
+            right,
+            node_budget=spec.node_budget,
+            prune=spec.prune,
+            control=control,
+            pair=pair,
+        )
     elif algorithm is Algorithm.GROUND:
         return ground_compare(left, right, options=options)
     elif algorithm is Algorithm.PARTIAL:
@@ -176,10 +173,8 @@ def run_algorithm(
 
 
 def _exact_with_executor(
-    left: Instance,
-    right: Instance,
+    pair: PreparedPair,
     spec: ExactOptions,
-    options: MatchOptions | None,
     control: Budget | None,
     executor: "Executor",
     deadline: float | None = None,
@@ -190,27 +185,20 @@ def _exact_with_executor(
     Each retry attempt gets a fresh budget (a dead attempt must not pass
     its spent nodes to its successor); once retries are exhausted on a
     resource death or crash, the comparison degrades to the signature tier
-    — the result then carries the approximate score, the failure outcome,
-    and the structured attempt log.
+    (:func:`degraded_floor`).
     """
 
     def attempt() -> ComparisonResult:
-        if control is not None:
-            return exact_compare(
-                left,
-                right,
-                options=options,
-                prune=spec.prune,
-                control=control,
-            )
+        # A given ``control`` supersedes the per-attempt budget knobs.
         return exact_compare(
-            left,
-            right,
-            options=options,
+            pair.left,
+            pair.right,
             node_budget=spec.node_budget,
             prune=spec.prune,
             deadline=deadline,
             token=token,
+            control=control,
+            pair=pair,
         )
 
     report = executor.run(attempt, degrade=lambda: None, label="exact")
@@ -219,22 +207,42 @@ def _exact_with_executor(
         if report.attempts and len(report.attempts) > 1:
             result.stats["fault_log"] = report.log_dicts()
         return result
+    return degraded_floor(pair, "exact", report.outcome, report.log_dicts())
 
-    floor = signature_compare(left, right, options=options)
+
+def degraded_floor(
+    pair: PreparedPair,
+    algorithm: str,
+    outcome: Outcome,
+    fault_log: list[dict],
+) -> ComparisonResult:
+    """The signature floor standing in for an ``algorithm`` run that died.
+
+    The result carries the approximate score under the label
+    ``"<algorithm>→signature(degraded)"``, the failure ``outcome`` and the
+    structured attempt log.
+    """
+    floor = signature_compare(pair.left, pair.right, pair=pair)
     return ComparisonResult(
         similarity=floor.similarity,
         match=floor.match,
         options=floor.options,
-        algorithm="exact→signature(degraded)",
-        outcome=report.outcome,
+        algorithm=f"{algorithm}→signature(degraded)",
+        outcome=outcome,
         stats={
             **floor.stats,
-            "degraded_from": "exact",
-            "fault_log": report.log_dicts(),
-            "outcome": report.outcome.value,
+            "degraded_from": algorithm,
+            "fault_log": fault_log,
+            "outcome": outcome.value,
         },
         elapsed_seconds=floor.elapsed_seconds,
     )
 
 
-__all__ = ["CONTROLLABLE", "EXECUTABLE", "run_algorithm", "validate_controls"]
+__all__ = [
+    "CONTROLLABLE",
+    "EXECUTABLE",
+    "degraded_floor",
+    "run_algorithm",
+    "validate_controls",
+]

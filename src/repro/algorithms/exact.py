@@ -51,9 +51,8 @@ from ..runtime.budget import Budget, resolve_control
 from ..runtime.cancellation import CancellationToken
 from ..runtime.outcome import Outcome
 from ..scoring.match_score import score_match
-from ..scoring.sizes import normalization_denominator
 from .assignment import assignment_bounds
-from .compatibility import compatible_tuples_of_instances
+from .pair import PreparedPair
 from .result import ComparisonResult
 from .unifier import Unifier
 
@@ -65,29 +64,24 @@ class _ExactSearch:
     """Shared state of the exact depth-first search."""
 
     def __init__(
-        self,
-        left: Instance,
-        right: Instance,
-        options: MatchOptions,
-        control: Budget,
-        prune: bool = True,
+        self, pair: PreparedPair, control: Budget, prune: bool = True
     ) -> None:
-        self.left = left
-        self.right = right
-        self.options = options
+        self.left = pair.left
+        self.right = pair.right
+        self.options = pair.options
         self.control = control
         self.prune = prune
-        self.denominator = normalization_denominator(left, right)
-        self.unifier = Unifier.for_instances(left, right)
+        self.denominator = pair.denominator
+        self.unifier = pair.unifier()
         self.current_pairs: list[tuple[str, str]] = []
         self.best_score = -1.0
         self.best_pairs: list[tuple[str, str]] = []
-        self.compatible = compatible_tuples_of_instances(left, right)
+        self.compatible = pair.compatible
         self.right_use_count: dict[str, int] = {}
         # Pruning runs the solved assignment relaxation beside the pair
         # bound: one polynomial solve against an exponential search.
         self.relaxation = (
-            assignment_bounds(left, right, options, compatible=self.compatible)
+            assignment_bounds(self.left, self.right, pair=pair)
             if prune
             else None
         )
@@ -286,6 +280,7 @@ def exact_compare(
     deadline: float | None = None,
     token: CancellationToken | None = None,
     control: Budget | None = None,
+    pair: PreparedPair | None = None,
 ) -> ComparisonResult:
     """Run the exact algorithm (Alg. 1) and return the best instance match.
 
@@ -317,6 +312,10 @@ def exact_compare(
         A pre-built :class:`~repro.runtime.Budget` governing this search
         (e.g. shared across an anytime ladder).  When given, it supersedes
         ``node_budget`` / ``deadline`` / ``token``.
+    pair:
+        The :class:`~repro.algorithms.pair.PreparedPair` of ``left`` and
+        ``right`` (its compatibility map, blocks, nulls and denominator);
+        built here when omitted.
 
     Examples
     --------
@@ -326,15 +325,14 @@ def exact_compare(
     >>> exact_compare(I, J).similarity
     1.0
     """
-    if options is None:
-        options = MatchOptions.general()
-    left.assert_comparable_with(right)
+    pair = PreparedPair.of(pair, left, right, options)
+    options = pair.options
     started = time.perf_counter()
     control = resolve_control(
         control, node_limit=node_budget, deadline=deadline, token=token
     )
     nodes_before = control.nodes
-    search = _ExactSearch(left, right, options, control, prune=prune)
+    search = _ExactSearch(pair, control, prune=prune)
     with span(
         "exact.search", functional=options.functional, prune=prune
     ) as search_span:
@@ -352,7 +350,7 @@ def exact_compare(
         annotate_budget(search_span, control)
 
     # Rebuild the winning match (the search unifier has been rolled back).
-    final_unifier = Unifier.for_instances(left, right)
+    final_unifier = pair.unifier()
     for left_id, right_id in search.best_pairs:
         final_unifier.unify_tuples(
             left.get_tuple(left_id), right.get_tuple(right_id)

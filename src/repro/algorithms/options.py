@@ -85,9 +85,8 @@ class AssignmentOptions:
     align_preference:
         Forwarded to the greedy floor (see :class:`SignatureOptions`).
 
-    The block-size cap and the dense-solver threshold are constants of
-    :mod:`repro.algorithms.assignment` (``DEFAULT_MAX_BLOCK_SIZE``,
-    ``DENSE_FALLBACK_SIZE``), not options.
+    The block-size cap is a constant of :mod:`repro.algorithms.assignment`
+    (``DEFAULT_MAX_BLOCK_SIZE``), not an option.
     """
 
     align_preference: bool = True

@@ -55,7 +55,7 @@ from ..obs.metrics import active_metrics
 from ..obs.trace import annotate_budget, span
 from ..runtime.budget import Budget, resolve_control
 from ..scoring.match_score import ScoreBreakdown, score_match_with_breakdown
-from .compatibility import compatible_tuples_of_instances
+from .pair import PreparedPair
 from .result import ComparisonResult
 from .signature import optimistic_cell_score
 from .unifier import Unifier
@@ -85,7 +85,8 @@ def _evaluate(
 ) -> _Evaluation | None:
     """Score a candidate pair set, or ``None`` if it admits no complete match.
 
-    ``nulls`` is ``(Vars(left), Vars(right))``, computed once per climb.
+    ``nulls`` is ``(Vars(left), Vars(right))``, the pair's, read once per
+    climb.
     """
     unifier = Unifier(*nulls)
     for left_id, right_id in sorted(pairs):
@@ -270,6 +271,7 @@ def refine_match(
     move_budget: int = DEFAULT_MOVE_BUDGET,
     max_passes: int = 3,
     control: Budget | None = None,
+    pair: PreparedPair | None = None,
 ) -> ComparisonResult:
     """Hill-climb from ``result``'s match; returns an improved (or equal) result.
 
@@ -278,7 +280,9 @@ def refine_match(
     constraints are skipped.  An optional ``control``
     :class:`~repro.runtime.Budget` bounds the climb by wall clock /
     cancellation on top of ``move_budget`` — when it trips mid-pass the
-    best-so-far match is returned with the triggering outcome.
+    best-so-far match is returned with the triggering outcome.  ``pair``
+    is the :class:`~repro.algorithms.pair.PreparedPair` of the match's
+    instances and ``result``'s options, built here when omitted.
 
     Examples
     --------
@@ -295,9 +299,8 @@ def refine_match(
     control = resolve_control(control)
     left, right = result.match.left, result.match.right
     options = result.options
-    compatible = compatible_tuples_of_instances(left, right)
-
-    nulls = (frozenset(left.vars()), frozenset(right.vars()))
+    pair = PreparedPair.of(pair, left, right, options)
+    nulls = pair.nulls
     evaluated = _evaluate(
         left, right, frozenset(result.match.m), options.lam, nulls
     )
@@ -313,7 +316,7 @@ def refine_match(
             climb,
             max_passes=max_passes,
             move_budget=move_budget,
-            compatible=compatible,
+            compatible=pair.compatible,
         )
         annotate_budget(traced, control)
         traced.set(

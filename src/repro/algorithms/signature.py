@@ -40,7 +40,7 @@ from __future__ import annotations
 import bisect
 import time
 import weakref
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..core.instance import Instance, RelationInstance
 from ..core.schema import RelationSchema
@@ -58,6 +58,9 @@ from ..scoring.match_score import score_match
 from .compatibility import compatible_tuples
 from .result import ComparisonResult
 from .unifier import Unifier
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .pair import PreparedPair
 
 SignatureKey = tuple[tuple[str, Value], ...]
 """Hashable signature: ``((attr, const), ...)`` in lexicographic attr order."""
@@ -190,9 +193,8 @@ class SignatureIndex:
     Building the Alg. 4 signature map is the per-pair fixed cost of the
     signature algorithm; when one instance participates in many pairs (the
     Tables 2–3 grids, data-lake probing, the parallel batch engine), that
-    cost can be paid once.  ``signature_compare`` accepts prebuilt indexes
-    via ``left_index``/``right_index`` and otherwise builds them itself
-    (reusing them across its internal phases).
+    cost can be paid once.  A :class:`~repro.algorithms.pair.PreparedPair`
+    takes prebuilt indexes and otherwise builds them on first use.
 
     An index is bound to the identity of the instance it was built from:
     same tuple ids, same tuple objects.  Renaming *nulls* does not
@@ -449,8 +451,8 @@ class MutableSignatureIndex(SignatureIndex):
     :meth:`relation` returns a view over the live structures; a later edit
     never changes a view taken before it.
 
-    Drop-in compatible with ``signature_compare``'s ``left_index`` /
-    ``right_index`` parameters.
+    Drop-in compatible with :class:`~repro.algorithms.pair.PreparedPair`'s
+    ``left_index`` / ``right_index`` parameters.
     """
 
     __slots__ = ("_mutable",)
@@ -550,18 +552,16 @@ class _MatchState:
 
     def __init__(
         self,
-        left: Instance,
-        right: Instance,
-        options: MatchOptions,
+        pair: "PreparedPair",
         align_preference: bool = True,
         control: Budget | None = None,
     ) -> None:
-        self.left = left
-        self.right = right
-        self.options = options
+        self.left = pair.left
+        self.right = pair.right
+        self.options = pair.options
         self.align_preference = align_preference
         self.control = resolve_control(control)
-        self.unifier = Unifier.for_instances(left, right)
+        self.unifier = pair.unifier()
         self.mapping = TupleMapping()
         self.matched_left: set[str] = set()
         self.matched_right: set[str] = set()
@@ -841,9 +841,7 @@ def _complete_relation(
 
 
 def _relation_order(
-    state: _MatchState,
-    left_index: SignatureIndex | None = None,
-    right_index: SignatureIndex | None = None,
+    state: _MatchState, left_index: SignatureIndex, right_index: SignatureIndex
 ) -> list[str]:
     """Relation names, most signature-selective first.
 
@@ -852,10 +850,6 @@ def _relation_order(
     collide heavily (e.g. fact tables sharing categorical values), so
     surrogate nulls are bound by the reliable matches first.
     """
-    if left_index is None:
-        left_index = SignatureIndex.build(state.left)
-    if right_index is None:
-        right_index = SignatureIndex.build(state.right)
 
     def selectivity(name: str) -> float:
         left_rel = left_index.relation(name)
@@ -876,8 +870,7 @@ def signature_compare(
     options: MatchOptions | None = None,
     align_preference: bool = True,
     control: Budget | None = None,
-    left_index: SignatureIndex | None = None,
-    right_index: SignatureIndex | None = None,
+    pair: "PreparedPair | None" = None,
 ) -> ComparisonResult:
     """Run the signature algorithm (Alg. 3) and score the greedy match.
 
@@ -897,13 +890,11 @@ def signature_compare(
         polynomial, so this mostly matters for cooperative cancellation:
         when the budget trips, the pairs committed so far are scored and
         returned with the triggering outcome.
-    left_index, right_index:
-        Optional precomputed :class:`SignatureIndex` objects for ``left`` /
-        ``right``, e.g. from the parallel engine's signature cache.  They
-        must have been built from exactly these instances (checked
-        cheaply); when omitted they are built here and reused across the
-        algorithm's internal phases.  Supplying an index never changes the
-        result — only skips the per-pair index construction.
+    pair:
+        The :class:`~repro.algorithms.pair.PreparedPair` of ``left`` and
+        ``right``, e.g. one sharing the parallel engine's cached signature
+        indexes; built here when omitted.  Supplying one never changes the
+        result — only skips the work it has already done.
 
     Examples
     --------
@@ -916,34 +907,22 @@ def signature_compare(
     >>> signature_compare(I, J).similarity
     1.0
     """
-    if options is None:
-        options = MatchOptions.general()
-    left.assert_comparable_with(right)
+    from .pair import PreparedPair  # pair.py imports this module
+
+    pair = PreparedPair.of(pair, left, right, options)
+    options = pair.options
     started = time.perf_counter()
-    if left_index is None:
-        left_index = SignatureIndex.build(left)
-    elif not left_index.matches(left):
-        raise ValueError(
-            "left_index was not built from the left instance "
-            "(relation names or tuple counts differ)"
-        )
-    if right_index is None:
-        right_index = SignatureIndex.build(right)
-    elif not right_index.matches(right):
-        raise ValueError(
-            "right_index was not built from the right instance "
-            "(relation names or tuple counts differ)"
-        )
     state = _MatchState(
-        left, right, options,
-        align_preference=align_preference, control=control,
+        pair, align_preference=align_preference, control=control
     )
     spends_before = state.control.nodes
 
     with span(
         "signature.compare", align_preference=align_preference
     ) as compare_span:
-        signature_pairs = _signature_step(state, left_index, right_index)
+        signature_pairs = _signature_step(
+            state, pair.left_index, pair.right_index
+        )
         pairs_after_signature = list(state.mapping)
 
         completion_pairs = _completion_step(state)

@@ -53,6 +53,7 @@ from __future__ import annotations
 import time
 from typing import Iterable, Sequence
 
+from ..algorithms.pair import PreparedPair
 from ..algorithms.result import ComparisonResult
 from ..algorithms.signature import (
     MutableSignatureIndex,
@@ -218,7 +219,6 @@ class DeltaSession:
     ) -> None:
         if options is None:
             options = MatchOptions.general()
-        left.assert_comparable_with(right)
         self.left = left
         self.options = options
         self.align_preference = align_preference
@@ -285,8 +285,10 @@ class DeltaSession:
             right, IndexParams(), track_minhash=False
         )
         self._right_sketch = self._right_maintainer.materialize()
+        # The pair checks the comparison preconditions for every right
+        # instance the session starts from.
         self._state = _ObservedState(
-            self, self.left, right, self.options,
+            self, PreparedPair(self.left, right, self.options),
             align_preference=self.align_preference,
         )
         self._tracker = _ClassTracker()

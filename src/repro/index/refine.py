@@ -43,6 +43,7 @@ from ..algorithms.options import (
     SignatureOptions,
     resolve_algorithm,
 )
+from ..algorithms.pair import PreparedPair
 from ..algorithms.result import ComparisonResult
 from ..core.instance import Instance
 from ..mappings.constraints import MatchOptions
@@ -220,22 +221,17 @@ class QueryComparer:
     def compare(self, candidate: Instance) -> ComparisonResult | None:
         """Full comparison with the policy algorithm, or ``None``.
 
-        Runs through the common dispatcher, which forwards the cached
-        Alg. 4 indexes to the algorithms able to exploit them.  Returns
-        ``None`` when the tables are incomparable (different relation
-        names).
+        Runs through the common dispatcher with a prepared pair over the
+        two cache entries, so the algorithms able to exploit them read the
+        cached Alg. 4 indexes.  Returns ``None`` when the tables are
+        incomparable (different relation names).
         """
-        pair = self.prepared_pair(candidate)
-        if pair is None:
+        sides = self.prepared_pair(candidate)
+        if sides is None:
             return None
-        left_entry, right_entry = pair
+        pair = PreparedPair.from_sides(*sides, self.options)
         return run_algorithm(
-            left_entry.instance,
-            right_entry.instance,
-            self.spec,
-            self.options,
-            left_index=left_entry.index,
-            right_index=right_entry.index,
+            pair.left, pair.right, self.spec, self.options, pair=pair
         )
 
 

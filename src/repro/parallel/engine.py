@@ -22,46 +22,40 @@ matches, and outcomes (CI enforces this).
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from typing import Callable, Iterable, Sequence
 
-from ..algorithms.dispatch import run_algorithm
+from ..algorithms.dispatch import degraded_floor, run_algorithm
 from ..algorithms.options import Algorithm, AlgorithmOptions, resolve_algorithm
+from ..algorithms.pair import PreparedPair
 from ..algorithms.result import ComparisonResult
-from ..algorithms.signature import SignatureIndex, signature_compare
 from ..core.instance import Instance
 from ..mappings.constraints import MatchOptions
-from ..obs.metrics import (
-    MetricsRegistry,
-    MetricsSnapshot,
-    active_metrics,
-    set_metrics,
-)
+from ..obs.metrics import MetricsSnapshot, active_metrics, collect_metrics
 from ..obs.trace import span
 from ..runtime.faults import FaultPlan
 from ..runtime.isolation import STATUS_OUTCOMES, WorkerLimits
 from ..runtime.outcome import Outcome
 from ..runtime.retry import RetryPolicy
 from .cache import SignatureCache
-from .pool import PoolTask, TaskOutcome, WorkerPool
+from .pool import PoolTask, WorkerPool
 
 
 def compare_pair_job(
-    left: Instance,
-    right: Instance,
+    pair: PreparedPair,
     spec: AlgorithmOptions,
     options: MatchOptions | None = None,
     deadline: float | None = None,
-    left_index: SignatureIndex | None = None,
-    right_index: SignatureIndex | None = None,
     collect: bool = False,
 ) -> ComparisonResult:
-    """Compare one *prepared* pair; the unit of work shipped to workers.
+    """Compare one prepared pair; the unit of work shipped to workers.
 
     Registered in :data:`~repro.runtime.isolation.JOB_REGISTRY` as
-    ``"compare_pair"``.  ``left``/``right`` must already be prepared (the
-    cache's canonical per-side form, or ``prepare_for_comparison`` output);
-    the indexes, when given, must have been built from exactly these
-    instances.
+    ``"compare_pair"``.  ``pair`` holds the two prepared instances (the
+    cache's canonical per-side form, or ``prepare_for_comparison``
+    output) and, when the cache supplied them, both signature indexes.
+    ``options`` are the ones ``pair`` was built with, as the caller gave
+    them: ``None`` keeps the ground and partial algorithms' own default.
 
     With ``collect=True`` the comparison runs under a fresh per-pair
     :class:`~repro.obs.MetricsRegistry` and its snapshot is attached to
@@ -71,66 +65,13 @@ def compare_pair_job(
     path for serial (``jobs=1``) runs, so serial and parallel batches
     aggregate identically — the differential property CI gates on.
     """
-    if not collect:
-        return run_algorithm(
-            left,
-            right,
-            spec,
-            options=options,
-            deadline=deadline,
-            left_index=left_index,
-            right_index=right_index,
-        )
-    registry = MetricsRegistry()
-    previous = set_metrics(registry)
-    try:
+    with collect_metrics() if collect else nullcontext() as registry:
         result = run_algorithm(
-            left,
-            right,
-            spec,
-            options=options,
-            deadline=deadline,
-            left_index=left_index,
-            right_index=right_index,
+            pair.left, pair.right, spec, options, deadline=deadline, pair=pair
         )
-    finally:
-        set_metrics(previous)
-    result.stats["metrics"] = registry.snapshot().as_dict()
+    if registry is not None:
+        result.stats["metrics"] = registry.snapshot().as_dict()
     return result
-
-
-def _degraded_result(
-    outcome: TaskOutcome,
-    left: Instance,
-    right: Instance,
-    spec: AlgorithmOptions,
-    options: MatchOptions | None,
-    left_index: SignatureIndex | None,
-    right_index: SignatureIndex | None,
-) -> ComparisonResult:
-    """In-parent signature floor for a pair whose workers kept dying."""
-    floor = signature_compare(
-        left,
-        right,
-        options=options,
-        left_index=left_index,
-        right_index=right_index,
-    )
-    failure = STATUS_OUTCOMES.get(outcome.status, Outcome.CRASHED)
-    return ComparisonResult(
-        similarity=floor.similarity,
-        match=floor.match,
-        options=floor.options,
-        algorithm=f"{spec.algorithm.value}→signature(degraded)",
-        outcome=failure,
-        stats={
-            **floor.stats,
-            "degraded_from": spec.algorithm.value,
-            "fault_log": [record.as_dict() for record in outcome.records],
-            "outcome": failure.value,
-        },
-        elapsed_seconds=floor.elapsed_seconds,
-    )
 
 
 def compare_many(
@@ -210,25 +151,19 @@ def compare_many(
         jobs=jobs,
         algorithm=spec.algorithm.value,
     ) as batch_span:
-        prepared: list[tuple] = []
-        for left, right in pair_list:
-            left_entry = cache.get(left, "left")
-            right_entry = cache.get(right, "right")
-            prepared.append((left_entry, right_entry))
+        prepared = [
+            PreparedPair.from_sides(
+                cache.get(left, "left"), cache.get(right, "right"), options
+            )
+            for left, right in pair_list
+        ]
 
         results: list[ComparisonResult] = []
         if not use_workers:
-            for left_entry, right_entry in prepared:
+            for pair in prepared:
                 results.append(
                     compare_pair_job(
-                        left_entry.instance,
-                        right_entry.instance,
-                        spec,
-                        options,
-                        deadline=deadline,
-                        left_index=left_entry.index,
-                        right_index=right_entry.index,
-                        collect=collecting,
+                        pair, spec, options, deadline, collect=collecting
                     )
                 )
         else:
@@ -236,7 +171,7 @@ def compare_many(
                 None if fault_pairs is None else {int(i) for i in fault_pairs}
             )
             tasks = []
-            for i, (left_entry, right_entry) in enumerate(prepared):
+            for i, pair in enumerate(prepared):
                 plan = fault_plan
                 if (
                     plan is not None
@@ -247,18 +182,8 @@ def compare_many(
                 tasks.append(
                     PoolTask(
                         index=i,
-                        args=(
-                            left_entry.instance,
-                            right_entry.instance,
-                            spec,
-                            options,
-                        ),
-                        kwargs={
-                            "deadline": deadline,
-                            "left_index": left_entry.index,
-                            "right_index": right_entry.index,
-                            "collect": collecting,
-                        },
+                        args=(pair, spec, options),
+                        kwargs={"deadline": deadline, "collect": collecting},
                         plan=plan,
                     )
                 )
@@ -277,22 +202,19 @@ def compare_many(
                     f"compared {len(tasks)} pairs with jobs={jobs} "
                     f"in {elapsed:.2f}s"
                 )
-            for outcome, (left_entry, right_entry) in zip(outcomes, prepared):
+            for outcome, pair in zip(outcomes, prepared):
+                fault_log = [record.as_dict() for record in outcome.records]
                 if outcome.status == "ok":
                     result = outcome.payload
                     if len(outcome.records) > 1:
-                        result.stats["fault_log"] = [
-                            record.as_dict() for record in outcome.records
-                        ]
+                        result.stats["fault_log"] = fault_log
                 else:
-                    result = _degraded_result(
-                        outcome,
-                        left_entry.instance,
-                        right_entry.instance,
-                        spec,
-                        options,
-                        left_entry.index,
-                        right_entry.index,
+                    # Workers kept dying: the in-parent signature floor.
+                    result = degraded_floor(
+                        pair,
+                        spec.algorithm.value,
+                        STATUS_OUTCOMES.get(outcome.status, Outcome.CRASHED),
+                        fault_log,
                     )
                 results.append(result)
 

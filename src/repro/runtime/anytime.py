@@ -30,6 +30,7 @@ property.
 from __future__ import annotations
 
 import time
+from typing import TYPE_CHECKING
 
 from ..core.instance import Instance, prepare_for_comparison
 from ..mappings.constraints import MatchOptions
@@ -39,8 +40,47 @@ from .budget import DEFAULT_CHECK_INTERVAL, Budget
 from .cancellation import CancellationToken
 from .outcome import Outcome
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..algorithms.pair import PreparedPair
+    from ..algorithms.result import ComparisonResult
+
 #: Default node cap for the exact rung (matches ``exact_compare``'s default).
 DEFAULT_ANYTIME_NODE_BUDGET = 2_000_000
+
+
+def polynomial_rungs(
+    pair: "PreparedPair", floor_control: Budget, control: Budget
+) -> tuple["ComparisonResult", str, list[str]]:
+    """The ladder's polynomial rungs: signature, then refine and assignment
+    while ``control`` holds (serve's ``no-exact`` level stops here).
+
+    Returns the best result, the rung that produced it and the rungs run.
+    """
+    # Imported here for the same circularity reason as in compare_anytime.
+    from ..algorithms.assignment import assignment_compare
+    from ..algorithms.refine import refine_match
+    from ..algorithms.signature import signature_compare
+
+    best = signature_compare(
+        pair.left, pair.right, control=floor_control, pair=pair
+    )
+    best_rung, rungs_run = "signature", ["signature"]
+    if control.check():
+        rungs_run.append("refine")
+        refined = refine_match(best, control=control, pair=pair)
+        if refined.similarity > best.similarity:
+            best, best_rung = refined, "refine"
+    # Assignment is seeded with the current best, so the greedy floor is
+    # not recomputed; under a tripped budget it returns the seed unchanged
+    # (degrade-to-greedy), so the floor guarantee is preserved.
+    if control.check():
+        rungs_run.append("assignment")
+        assigned = assignment_compare(
+            pair.left, pair.right, control=control, seed_result=best, pair=pair
+        )
+        if assigned.similarity > best.similarity:
+            best, best_rung = assigned, "assignment"
+    return best, best_rung, rungs_run
 
 
 def compare_anytime(
@@ -107,55 +147,28 @@ def compare_anytime(
     """
     # Imported here, not at module top: algorithms/ itself imports the
     # runtime primitives, and a top-level import would be circular.
-    from ..algorithms.assignment import assignment_compare
     from ..algorithms.exact import exact_compare
-    from ..algorithms.refine import refine_match
+    from ..algorithms.pair import PreparedPair
     from ..algorithms.result import ComparisonResult
-    from ..algorithms.signature import signature_compare
 
-    if options is None:
-        options = MatchOptions.general()
     if prepare:
         left, right = prepare_for_comparison(left, right)
+    pair = PreparedPair(left, right, options)
+    options = pair.options
     started = time.perf_counter()
     control = Budget(
         deadline=deadline, token=token, check_interval=check_interval
     ).start()
 
     with span("anytime.ladder", deadline=deadline) as ladder_span:
-        # Rung 1 — signature floor.  Deliberately *not* under the deadline
-        # (it must run even with deadline=0 so there is always a result),
-        # but under the token so cancellation still stops it.
+        # The signature floor is deliberately *not* under the deadline (it
+        # must run even with deadline=0 so there is always a result), but
+        # under the token so cancellation still stops it.
         floor_control = Budget(token=token, check_interval=check_interval)
-        best = signature_compare(
-            left, right, options=options, control=floor_control
+        best, best_rung, rungs_run = polynomial_rungs(
+            pair, floor_control, control
         )
-        best_rung = "signature"
-        rungs_run = ["signature"]
         score_is_exact = False
-
-        # Rung 2 — refinement under the shared budget.
-        if control.check():
-            rungs_run.append("refine")
-            refined = refine_match(best, control=control)
-            if refined.similarity > best.similarity:
-                best, best_rung = refined, "refine"
-
-        # Rung 3 — globally-optimal assignment completion.  Seeded with
-        # the current best so the greedy floor is not recomputed; under a
-        # tripped budget it returns the seed unchanged (degrade-to-greedy),
-        # so the ladder's floor guarantee is preserved.
-        if control.check():
-            rungs_run.append("assignment")
-            assigned = assignment_compare(
-                left,
-                right,
-                options=options,
-                control=control,
-                seed_result=best,
-            )
-            if assigned.similarity > best.similarity:
-                best, best_rung = assigned, "assignment"
 
         # Rung 4 — exact search with the remaining wall clock and a node cap.
         exact_outcome: Outcome | None = None
@@ -169,8 +182,8 @@ def compare_anytime(
                 return exact_compare(
                     left,
                     right,
-                    options=options,
                     control=control.child(node_limit=node_budget),
+                    pair=pair,
                 )
 
             if executor is not None:

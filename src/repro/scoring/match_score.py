@@ -67,13 +67,15 @@ def tuple_pair_score(
     measure: NonInjectivityMeasure | None = None,
     lam: float = DEFAULT_LAMBDA,
 ) -> float:
-    """``score(M, t, t')``: sum of cell scores over the shared attributes."""
+    """``score(M, t, t')``: sum of cell scores over the shared attributes.
+
+    Cells are paired by position: comparable schemas list each relation's
+    attributes in the same order (:meth:`~repro.core.schema.Schema.is_compatible_with`).
+    """
     if measure is None:
         measure = NonInjectivityMeasure(match)
     total = 0.0
-    for attribute in t.relation.attributes:
-        left_value = t[attribute]
-        right_value = t_prime[attribute]
+    for left_value, right_value in zip(t.values, t_prime.values):
         total += cell_score(
             left_value,
             right_value,

@@ -30,6 +30,7 @@ from ..index.sketch import InstanceSketch, comparable, similarity_upper_bound
 from ..mappings.constraints import MatchOptions
 from ..obs.metrics import MetricsRegistry, set_metrics
 from ..runtime.anytime import DEFAULT_ANYTIME_NODE_BUDGET, compare_anytime
+from ..runtime.anytime import polynomial_rungs
 from ..runtime.budget import Budget
 from ..runtime.isolation import register_job
 from .admission import DegradationLevel
@@ -74,8 +75,7 @@ def compare_job(
     def run() -> dict:
         # Imported lazily for the same circularity reason as the anytime
         # ladder itself: algorithms/ imports the runtime primitives.
-        from ..algorithms.assignment import assignment_compare
-        from ..algorithms.refine import refine_match
+        from ..algorithms.pair import PreparedPair
         from ..algorithms.signature import signature_compare
 
         if level is DegradationLevel.FULL:
@@ -94,31 +94,16 @@ def compare_job(
                 ),
             )
 
-        match_options = options if options is not None else MatchOptions.general()
-        prepared_left, prepared_right = prepare_for_comparison(left, right)
-        control = Budget(deadline=deadline).start()
-        best = signature_compare(
-            prepared_left, prepared_right, options=match_options
-        )
-        rung = "signature"
-        if level is DegradationLevel.NO_EXACT and control.check():
-            refined = refine_match(best, control=control)
-            if refined.similarity > best.similarity:
-                best, rung = refined, "refine"
-        if level is DegradationLevel.NO_EXACT and control.check():
-            # The polynomial rungs of the anytime ladder, minus the exact
-            # search this level forbids: globally-optimal 1:1 completion,
-            # seeded with the current best, degrading back to it under the
-            # shared deadline.
-            assigned = assignment_compare(
-                prepared_left,
-                prepared_right,
-                options=match_options,
-                control=control,
-                seed_result=best,
+        pair = PreparedPair(*prepare_for_comparison(left, right), options)
+        if level is DegradationLevel.NO_EXACT:
+            # The ladder's own rungs, minus the exact search this level
+            # forbids.
+            best, rung, _ = polynomial_rungs(
+                pair, Budget(), Budget(deadline=deadline).start()
             )
-            if assigned.similarity > best.similarity:
-                best, rung = assigned, "assignment"
+        else:
+            best = signature_compare(pair.left, pair.right, pair=pair)
+            rung = "signature"
         return _result_payload(best, rung=rung, score_is_exact=False)
 
     return _collected(run)

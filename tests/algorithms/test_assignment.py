@@ -1,11 +1,10 @@
-"""The assignment rung: solvers, differential oracle, bounds, exact pruning.
+"""The assignment rung: solver, differential oracle, bounds, exact pruning.
 
-The differential harness this PR pins down lives here: both solver code
-paths (sparse Jonker-Volgenant, dense Hungarian) are checked against a
-brute-force oracle on every ≤6×6 block, the documented commit tie-break
-``(-weight, row, col)`` is asserted literally, and the constructed greedy
-trap demonstrates the strict greedy < assignment = exact separation the
-benchmark gates on.
+The differential harness lives here: the one solver (sparse
+Jonker-Volgenant) is checked against a brute-force oracle on every ≤6×6
+block, the documented commit tie-break ``(-weight, row, col)`` is
+asserted literally, and the constructed greedy trap demonstrates the
+strict greedy < assignment = exact separation the benchmark gates on.
 """
 
 from __future__ import annotations
@@ -88,43 +87,29 @@ TRAP_OPTIMAL = 0.96875
 
 class TestSolveAssignment:
     def test_differential_oracle_small_blocks(self):
-        """Both solvers exactly match brute force on every ≤6×6 block."""
+        """The solver exactly matches brute force on every ≤6×6 block."""
         rng = random.Random(20240807)
         for case in range(300):
             n_rows = rng.randint(0, 6)
             n_cols = rng.randint(0, 6)
             weights = random_weights(rng, n_rows, n_cols)
             oracle = brute_force_best_matching(weights, n_rows, n_cols)
-            for dense_threshold in (0, 99):  # force sparse / force dense
-                solution = solve_assignment(
-                    weights, n_rows, n_cols,
-                    dense_threshold=dense_threshold,
-                )
-                assert solution is not None
-                assert solution.value == pytest.approx(oracle), (
-                    f"case {case}: {solution.solver} != oracle"
-                )
-                # The pairs must realize the value: a valid 1:1 matching
-                # over existing edges summing to it.
-                rows = [r for r, _c, _w in solution.pairs]
-                cols = [c for _r, c, _w in solution.pairs]
-                assert len(rows) == len(set(rows))
-                assert len(cols) == len(set(cols))
-                for row, col, weight in solution.pairs:
-                    assert weights[(row, col)] == pytest.approx(weight)
-                assert sum(w for *_rc, w in solution.pairs) == (
-                    pytest.approx(solution.value)
-                )
-
-    def test_sparse_and_dense_agree_on_larger_blocks(self):
-        rng = random.Random(7)
-        for _ in range(20):
-            n = rng.randint(25, 40)
-            weights = random_weights(rng, n, n, density=0.15)
-            sparse = solve_assignment(weights, n, n, dense_threshold=0)
-            dense = solve_assignment(weights, n, n, dense_threshold=n)
-            assert sparse.solver == "jv" and dense.solver == "dense"
-            assert sparse.value == pytest.approx(dense.value)
+            solution = solve_assignment(weights, n_rows, n_cols)
+            assert solution is not None
+            assert solution.value == pytest.approx(oracle), (
+                f"case {case}: {solution.solver} != oracle"
+            )
+            # The pairs must realize the value: a valid 1:1 matching over
+            # existing edges summing to it.
+            rows = [r for r, _c, _w in solution.pairs]
+            cols = [c for _r, c, _w in solution.pairs]
+            assert len(rows) == len(set(rows))
+            assert len(cols) == len(set(cols))
+            for row, col, weight in solution.pairs:
+                assert weights[(row, col)] == pytest.approx(weight)
+            assert sum(w for *_rc, w in solution.pairs) == (
+                pytest.approx(solution.value)
+            )
 
     def test_pairs_follow_documented_tie_break(self):
         # All weights equal: the canonical order is (-weight, row, col).
@@ -142,7 +127,7 @@ class TestSolveAssignment:
         weights.update(
             {(i, (i + 1) % n): 1.0 for i in range(n)}
         )
-        solution = solve_assignment(weights, n, n, dense_threshold=0)
+        solution = solve_assignment(weights, n, n)
         assert solution.value == pytest.approx(5.0 * n)
         assert solution.seeded == n  # zero Dijkstra augmentations needed
 
@@ -153,12 +138,10 @@ class TestSolveAssignment:
         weights = {(i, 0): 2.0 for i in range(n)}
         weights.update({(i, i + 1): 1.0 for i in range(n)})
         control = Budget(node_limit=3).start()
-        assert solve_assignment(
-            weights, n, n + 1, control=control, dense_threshold=0
-        ) is None
+        assert solve_assignment(weights, n, n + 1, control=control) is None
         assert control.outcome is Outcome.BUDGET_EXHAUSTED
         # Unbudgeted, the same block solves to the analytic optimum.
-        full = solve_assignment(weights, n, n + 1, dense_threshold=0)
+        full = solve_assignment(weights, n, n + 1)
         assert full.value == pytest.approx(2.0 + (n - 1) * 1.0)
 
     def test_rejects_out_of_range_edges(self):

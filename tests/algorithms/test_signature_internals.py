@@ -5,6 +5,7 @@ import pytest
 from repro.core.instance import Instance
 from repro.core.values import LabeledNull
 from repro.mappings.constraints import MatchOptions
+from repro.algorithms.pair import PreparedPair
 from repro.algorithms.signature import (
     _MatchState,
     _relation_order,
@@ -128,8 +129,11 @@ class TestRelationOrder:
         right = Instance(schema, name="R")
         fill(left, "l")
         fill(right, "r")
-        state = _MatchState(left, right, MatchOptions.general())
-        assert _relation_order(state) == ["Entities", "Facts"]
+        pair = PreparedPair(left, right, MatchOptions.general())
+        state = _MatchState(pair)
+        assert _relation_order(
+            state, pair.left_index, pair.right_index
+        ) == ["Entities", "Facts"]
 
     def test_empty_relations_handled(self):
         from repro.core.schema import RelationSchema, Schema
@@ -137,15 +141,19 @@ class TestRelationOrder:
         schema = Schema([RelationSchema("R", ("A",))])
         left = Instance(schema, name="L")
         right = Instance(schema, name="R")
-        state = _MatchState(left, right, MatchOptions.general())
-        assert _relation_order(state) == ["R"]
+        pair = PreparedPair(left, right, MatchOptions.general())
+        state = _MatchState(pair)
+        assert _relation_order(state, pair.left_index, pair.right_index) == [
+            "R"
+        ]
 
 
 class TestAdmissibility:
     def _state(self):
         left = inst([(N("a"), "x"), (N("b"), "x")])
         right = inst([(N("c"), "x"), (N("d"), "x")], prefix="r")
-        return _MatchState(left, right, MatchOptions.general()), left, right
+        pair = PreparedPair(left, right, MatchOptions.general())
+        return _MatchState(pair), left, right
 
     def test_any_policy_accepts(self):
         state, left, right = self._state()

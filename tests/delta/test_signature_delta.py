@@ -18,6 +18,7 @@ from repro.algorithms.signature import (
     SignatureIndex,
     signature_compare,
 )
+from repro.algorithms.pair import PreparedPair
 from repro.core.instance import Instance
 from repro.core.tuples import Tuple
 from repro.core.values import LabeledNull
@@ -105,7 +106,8 @@ class TestDropInCompatibility:
         new_right = batch.apply(right)
         index = MutableSignatureIndex.build(right)
         index.apply_batch(batch, new_right)
-        via_patched = signature_compare(left, new_right, right_index=index)
+        pair = PreparedPair(left, new_right, right_index=index)
+        via_patched = signature_compare(left, new_right, pair=pair)
         cold = signature_compare(left, new_right)
         assert via_patched.similarity == cold.similarity
 
@@ -226,13 +228,19 @@ class TestSharedIndexIsReadOnly:
         right_before = structure_of(right_index, right)
         first = signature_compare(
             left, right, options,
-            left_index=left_index, right_index=right_index,
+            pair=PreparedPair(
+                left, right, options,
+                left_index=left_index, right_index=right_index,
+            ),
         )
         assert structure_of(left_index, left) == left_before
         assert structure_of(right_index, right) == right_before
         second = signature_compare(
             left, right, options,
-            left_index=left_index, right_index=right_index,
+            pair=PreparedPair(
+                left, right, options,
+                left_index=left_index, right_index=right_index,
+            ),
         )
         assert (
             second.stats["pairs_after_signature"]

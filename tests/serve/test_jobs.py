@@ -48,6 +48,7 @@ class TestCompareJobLadder:
         )
         payload = out["payload"]
         assert payload["rung"] == "assignment"
+        assert payload["algorithm"] == "assignment"
         assert payload["similarity"] == pytest.approx(TRAP_OPTIMAL)
         assert not payload["score_is_exact"]
 
@@ -69,6 +70,7 @@ class TestCompareJobLadder:
         )
         payload = out["payload"]
         assert payload["rung"] == "signature"
+        assert payload["algorithm"] == "signature"
         assert payload["similarity"] == pytest.approx(TRAP_GREEDY)
 
     def test_metrics_snapshot_ships_with_payload(self, trap):
