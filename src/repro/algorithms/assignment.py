@@ -63,7 +63,6 @@ from ..obs.trace import annotate_budget, span
 from ..runtime.budget import Budget, resolve_control
 from ..runtime.faults import InjectedFault
 from ..runtime.outcome import Outcome
-from ..scoring.match_score import score_match
 from .pair import PreparedPair, RelationBlock
 from .result import ComparisonResult
 from .signature import optimistic_pair_score, signature_compare
@@ -557,10 +556,9 @@ def assignment_compare(
                     if control.interrupted:
                         degraded = True
                 if not degraded:
-                    match = state.build_match()
                     solved_result = ComparisonResult(
-                        similarity=score_match(match, lam=options.lam),
-                        match=match,
+                        similarity=state.score(),
+                        match=state.build_match(),
                         options=options,
                         algorithm="assignment",
                     )

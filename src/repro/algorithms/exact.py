@@ -50,7 +50,7 @@ from ..obs.trace import annotate_budget, span
 from ..runtime.budget import Budget, resolve_control
 from ..runtime.cancellation import CancellationToken
 from ..runtime.outcome import Outcome
-from ..scoring.match_score import score_match
+from ..scoring.match_score import score_committed_pairs
 from .assignment import assignment_bounds
 from .pair import PreparedPair
 from .result import ComparisonResult
@@ -74,6 +74,12 @@ class _ExactSearch:
         self.denominator = pair.denominator
         self.unifier = pair.unifier()
         self.current_pairs: list[tuple[str, str]] = []
+        # Σ 2 · arity over current_pairs, kept where they are pushed and
+        # popped, and the largest arity present: the pair bound's terms.
+        self.committed_arity = 0
+        self.max_arity = max(
+            (rel.arity for rel in self.left.schema), default=0
+        )
         self.best_score = -1.0
         self.best_pairs: list[tuple[str, str]] = []
         self.compatible = pair.compatible
@@ -92,10 +98,10 @@ class _ExactSearch:
 
     def _evaluate_leaf(self) -> None:
         """Score the current candidate tuple mapping and update the best."""
-        match = _build_match(
-            self.left, self.right, self.current_pairs, self.unifier
-        )
-        score = score_match(match, lam=self.options.lam)
+        score = score_committed_pairs(
+            self.left, self.right, self.current_pairs,
+            self.unifier.side_counts, self.options.lam,
+        ).score
         if score > self.best_score:
             self.best_score = score
             self.best_pairs = list(self.current_pairs)
@@ -110,15 +116,10 @@ class _ExactSearch:
         """
         if self.denominator == 0:
             return 1.0
-        committed = sum(
-            2 * self.left.get_tuple(left_id).relation.arity
-            for left_id, _ in self.current_pairs
-        )
         # Upper-bound the remaining pairs with the largest arity present.
-        max_arity = max(
-            (rel.arity for rel in self.left.schema), default=0
-        )
-        return (committed + 2 * max_arity * pair_count_bound) / self.denominator
+        return (
+            self.committed_arity + 2 * self.max_arity * pair_count_bound
+        ) / self.denominator
 
     def _assignment_bound(self, suffix_index: int | None) -> float:
         """Admissible score bound from the solved assignment relaxation.
@@ -188,6 +189,7 @@ class _ExactSearch:
                 self.unifier.rollback(token)
                 continue
             self.current_pairs.append((t.tuple_id, right_id))
+            self.committed_arity += 2 * t.relation.arity
             self.right_use_count[right_id] = (
                 self.right_use_count.get(right_id, 0) + 1
             )
@@ -196,6 +198,7 @@ class _ExactSearch:
             self._functional_dfs(left_tuples, index + 1)
             self.committed_opt -= pair_opt
             self.right_use_count[right_id] -= 1
+            self.committed_arity -= 2 * t.relation.arity
             self.current_pairs.pop()
             self.unifier.rollback(token)
             if self.control.interrupted:
@@ -236,11 +239,13 @@ class _ExactSearch:
             token = self.unifier.snapshot()
             if _unify_quietly(self.unifier, t, t_prime):
                 self.current_pairs.append((left_id, right_id))
+                self.committed_arity += 2 * t.relation.arity
                 self.right_use_count[right_id] = (
                     self.right_use_count.get(right_id, 0) + 1
                 )
                 self._powerset_dfs(pairs, index + 1)
                 self.right_use_count[right_id] -= 1
+                self.committed_arity -= 2 * t.relation.arity
                 self.current_pairs.pop()
             self.unifier.rollback(token)
             if self.control.interrupted:
@@ -256,19 +261,6 @@ def _unify_quietly(unifier: Unifier, t: Tuple, t_prime: Tuple) -> bool:
     except UnificationConflict:  # caller rolls back
         return False
     return True
-
-
-def _build_match(
-    left: Instance,
-    right: Instance,
-    pairs: list[tuple[str, str]],
-    unifier: Unifier,
-) -> InstanceMatch:
-    """Materialize an :class:`InstanceMatch` from pairs + unifier state."""
-    h_l, h_r = unifier.to_value_mappings()
-    return InstanceMatch(
-        left=left, right=right, h_l=h_l, h_r=h_r, m=TupleMapping(pairs)
-    )
 
 
 def exact_compare(
@@ -355,8 +347,14 @@ def exact_compare(
         final_unifier.unify_tuples(
             left.get_tuple(left_id), right.get_tuple(right_id)
         )
-    match = _build_match(left, right, search.best_pairs, final_unifier)
-    score = score_match(match, lam=options.lam)
+    score = score_committed_pairs(
+        left, right, search.best_pairs, final_unifier.side_counts,
+        options.lam,
+    ).score
+    h_l, h_r = final_unifier.to_value_mappings()
+    match = InstanceMatch(
+        left, right, h_l, h_r, TupleMapping(search.best_pairs)
+    )
     candidate_pairs = sum(len(v) for v in search.compatible.values())
     nodes_spent = control.nodes - nodes_before
     registry = active_metrics()

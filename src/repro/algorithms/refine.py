@@ -54,7 +54,7 @@ from ..mappings.tuple_mapping import TupleMapping
 from ..obs.metrics import active_metrics
 from ..obs.trace import annotate_budget, span
 from ..runtime.budget import Budget, resolve_control
-from ..scoring.match_score import ScoreBreakdown, score_match_with_breakdown
+from ..scoring.match_score import ScoreBreakdown, score_committed_pairs
 from .pair import PreparedPair
 from .result import ComparisonResult
 from .signature import optimistic_cell_score
@@ -68,12 +68,21 @@ _Pair = tuple[str, str]
 
 @dataclass(frozen=True)
 class _Evaluation:
-    """A feasible pair set with its value mappings, unifier and score."""
+    """A feasible pair set of two instances with its unifier and score."""
 
+    left: Instance
+    right: Instance
     pairs: frozenset[_Pair]
-    match: InstanceMatch
     unifier: Unifier
     breakdown: ScoreBreakdown
+
+    @property
+    def match(self) -> InstanceMatch:
+        """The match the pairs and the unifier realize, built on access."""
+        h_l, h_r = self.unifier.to_value_mappings()
+        return InstanceMatch(
+            self.left, self.right, h_l, h_r, TupleMapping(self.pairs)
+        )
 
 
 def _evaluate(
@@ -94,12 +103,9 @@ def _evaluate(
             left.get_tuple(left_id), right.get_tuple(right_id)
         ):
             return None
-    h_l, h_r = unifier.to_value_mappings()
-    match = InstanceMatch(
-        left=left, right=right, h_l=h_l, h_r=h_r, m=TupleMapping(pairs)
-    )
     return _Evaluation(
-        pairs, match, unifier, score_match_with_breakdown(match, lam=lam)
+        left, right, pairs, unifier,
+        score_committed_pairs(left, right, pairs, unifier.side_counts, lam),
     )
 
 
@@ -118,6 +124,7 @@ class _Incumbent:
         self.score = evaluation.breakdown.score
         self._lam = lam
         self._gain_by_root: dict[Value, float] = {}
+        self._mapping = TupleMapping(evaluation.pairs)
         for pair in evaluation.pairs:
             for root, cell_max in self._null_cells(pair):
                 self._gain_by_root[root] = (
@@ -126,12 +133,11 @@ class _Incumbent:
 
     def _null_cells(self, pair: _Pair) -> list[tuple[Value, float]]:
         """``(class root, optimistic max)`` of each null cell of ``pair``."""
-        match = self.evaluation.match
         find = self.evaluation.unifier.find
         cells = []
         for left_value, right_value in zip(
-            match.left.get_tuple(pair[0]).values,
-            match.right.get_tuple(pair[1]).values,
+            self.evaluation.left.get_tuple(pair[0]).values,
+            self.evaluation.right.get_tuple(pair[1]).values,
         ):
             if is_null(left_value) or is_null(right_value):
                 cells.append((
@@ -145,9 +151,10 @@ class _Incumbent:
 
         Probes the incumbent's unifier and rolls the probe back.
         """
-        match = self.evaluation.match
-        return not self.evaluation.unifier.compatible_tuples(
-            match.left.get_tuple(pair[0]), match.right.get_tuple(pair[1])
+        evaluation = self.evaluation
+        return not evaluation.unifier.compatible_tuples(
+            evaluation.left.get_tuple(pair[0]),
+            evaluation.right.get_tuple(pair[1]),
         )
 
     def drop_cannot_win(self, pair: _Pair) -> bool:
@@ -169,7 +176,7 @@ class _Incumbent:
         gain = sum(
             self._gain_by_root[root] for root in {root for root, _ in cells}
         ) - sum(cell_max for _, cell_max in cells)
-        mapping = self.evaluation.match.m
+        mapping = self._mapping
         scores = breakdown.pair_scores
         kept_left = [
             scores[(left_id, other)]

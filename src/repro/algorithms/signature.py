@@ -54,10 +54,9 @@ from ..obs.metrics import active_metrics
 from ..obs.profile import active_profiler
 from ..obs.trace import annotate_budget, span
 from ..runtime.budget import Budget, resolve_control
-from ..scoring.match_score import score_match
+from ..scoring.match_score import score_committed_pairs
 from .compatibility import compatible_tuples
 from .result import ComparisonResult
-from .unifier import Unifier
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .pair import PreparedPair
@@ -654,13 +653,24 @@ class _MatchState:
         self.matched_right.add(t_prime.tuple_id)
         return True
 
-    def build_match(self, pairs: Iterable[tuple[str, str]] | None = None) -> InstanceMatch:
-        """Materialize the (possibly partial) match as an InstanceMatch."""
-        mapping = self.mapping if pairs is None else TupleMapping(pairs)
+    def build_match(self) -> InstanceMatch:
+        """Materialize the committed pairs as an InstanceMatch.
+
+        The match holds its own copy of the pairs, so a later
+        :meth:`try_add` (or a delta session's next advance) leaves it as
+        it was built.
+        """
         h_l, h_r = self.unifier.to_value_mappings()
         return InstanceMatch(
-            left=self.left, right=self.right, h_l=h_l, h_r=h_r, m=mapping
+            self.left, self.right, h_l, h_r, self.mapping.copy()
         )
+
+    def score(self) -> float:
+        """``score(M)`` of the committed pairs, read off the unifier."""
+        return score_committed_pairs(
+            self.left, self.right, self.mapping, self.unifier.side_counts,
+            self.options.lam,
+        ).score
 
 
 def _find_signature_matches(
@@ -923,7 +933,7 @@ def signature_compare(
         signature_pairs = _signature_step(
             state, pair.left_index, pair.right_index
         )
-        pairs_after_signature = list(state.mapping)
+        pairs_after_signature = sorted(state.mapping)
 
         completion_pairs = _completion_step(state)
         annotate_budget(compare_span, state.control)
@@ -932,7 +942,7 @@ def signature_compare(
         )
 
     match = state.build_match()
-    score = score_match(match, lam=options.lam)
+    score = state.score()
     total_pairs = len(state.mapping)
     registry = active_metrics()
     if registry is not None:
@@ -986,20 +996,13 @@ def signature_step_only_score(
 ) -> float:
     """Score of the match restricted to signature-based pairs (Table 4).
 
-    Rebuilds the instance match using only the pairs discovered before the
-    completion step and re-derives minimal value mappings for them.
+    Replays the pairs discovered before the completion step through a
+    fresh match state, which re-derives minimal value mappings for them.
     """
+    from .pair import PreparedPair  # pair.py imports this module
+
     left, right = result.match.left, result.match.right
-    pairs = result.stats.get("pairs_after_signature", [])
-    unifier = Unifier.for_instances(left, right)
-    kept: list[tuple[str, str]] = []
-    for left_id, right_id in pairs:
-        if unifier.try_unify_tuples(
-            left.get_tuple(left_id), right.get_tuple(right_id)
-        ):
-            kept.append((left_id, right_id))
-    h_l, h_r = unifier.to_value_mappings()
-    sb_match = InstanceMatch(
-        left=left, right=right, h_l=h_l, h_r=h_r, m=TupleMapping(kept)
-    )
-    return score_match(sb_match, lam=result.options.lam)
+    state = _MatchState(PreparedPair(left, right, result.options))
+    for left_id, right_id in result.stats.get("pairs_after_signature", []):
+        state.try_add(left.get_tuple(left_id), right.get_tuple(right_id))
+    return state.score()

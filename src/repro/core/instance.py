@@ -331,6 +331,12 @@ class Instance:
         """``ids(I)``: the set of all tuple ids."""
         return set(self._ids)
 
+    def tuple_ids(self) -> Iterator[str]:
+        """All tuple ids in :meth:`tuples` order."""
+        return itertools.chain.from_iterable(
+            relation._tuples for relation in self._relations.values()
+        )
+
     def __len__(self) -> int:
         return len(self._ids)
 

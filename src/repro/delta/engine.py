@@ -16,17 +16,15 @@ the disturbed part of the match is recomputed:
   disturbed tuples;
 * pair scores are repaired incrementally: a committed pair's score only
   depends on the value-mapping classes of its null cells, so the session
-  mirrors the unifier's class structure in a lightweight union-find and
-  re-scores exactly the pairs whose classes merged or whose class lost or
-  gained a right-side null occurrence.
+  indexes each class's incident pairs and re-scores exactly the pairs
+  whose classes merged or whose class lost or gained a right-side null
+  occurrence.
 
 The warm result is always a *valid* instance match of the current
-instances — ``score_match`` of the returned match reproduces the reported
-similarity up to floating-point summation order (the session sums its
-incremental pair scores in its own order, so the last bit may differ) —
-but the greedy search is restricted to the disturbed region, so it may
-trail the cold greedy optimum.  Every result therefore carries a certified
-``staleness_bound``: the admissible sketch bound
+instances, and its similarity equals ``score_match`` of the returned
+match exactly — but the greedy search is restricted to the disturbed
+region, so it may trail the cold greedy optimum.  Every result therefore
+carries a certified ``staleness_bound``: the admissible sketch bound
 (:func:`~repro.index.sketch.similarity_upper_bound`) minus the warm
 similarity, an upper bound on how far *any* rematch (cold greedy or even
 the exact algorithm) can pull ahead.  A bound of zero certifies the warm
@@ -34,24 +32,19 @@ answer as exact.
 
 Pair-score algebra
 ------------------
-For a committed pair every cell falls into one of three shapes, scored
-straight from the class structure (``L``/``R`` = number of *distinct*
-left/right nulls of the cell's unifier class that occur in the current
-instances — precisely the fiber sizes of
-:class:`~repro.scoring.noninjectivity.NonInjectivityMeasure`):
-
-* constant/constant: ``1.0`` (committed pairs never conflict);
-* null/null (one shared class): ``2 / (L + R)``;
-* null/constant: ``2λ / (L + 1)`` or ``2λ / (1 + R)``.
-
-Deletions shrink ``R`` for surviving classes, merges grow ``L``/``R`` —
-both are tracked as *dirty classes* and their incident pairs re-scored.
+The session runs the steps of
+:func:`~repro.scoring.match_score.score_committed_pairs`.  Its ⊓ lookup
+reads a class's ``L`` left nulls off the unifier (the left instance never
+changes) and counts its ``R`` right nulls still present (classes never
+split when a tuple is deleted).  Deletions shrink ``R``, merges grow
+``L``/``R`` — both are tracked as *dirty classes* and their incident
+pairs re-scored.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..algorithms.pair import PreparedPair
 from ..algorithms.result import ComparisonResult
@@ -72,6 +65,11 @@ from ..core.tuples import Tuple
 from ..core.values import LabeledNull, is_null
 from ..index.sketch import IndexParams, similarity_upper_bound
 from ..mappings.constraints import MatchOptions
+from ..scoring.match_score import (
+    committed_pair_score,
+    tuple_score_sum,
+    tuple_scores,
+)
 from ..scoring.sizes import normalization_denominator
 from .batch import OP_DELETE, OP_INSERT, DeltaBatch
 from .maintenance import SketchMaintainer
@@ -95,31 +93,28 @@ class _ClassTracker:
     The unifier itself cannot answer "which pairs touch this class" or
     "how many right-side nulls of this class are still present", so the
     session maintains this shadow structure: for every class root, the
-    left nulls, the right nulls, and the committed pairs incident to the
-    class.  Unions merge small-into-large, keeping total set movement
-    ``O(n log n)``.
+    right nulls and the committed pairs incident to the class.  Unions
+    merge small-into-large, keeping total set movement ``O(n log n)``.
     """
 
-    __slots__ = ("_parent", "_size", "_left", "_right", "_pairs")
+    __slots__ = ("_parent", "_size", "_right", "_pairs")
 
     def __init__(self) -> None:
         self._parent: dict = {}
         self._size: dict = {}
-        self._left: dict = {}
         self._right: dict = {}
         self._pairs: dict = {}
 
     def __contains__(self, value) -> bool:
         return value in self._parent
 
-    def add(self, value, side: str | None):
-        """Ensure ``value`` is tracked; ``side`` is its null side or None."""
+    def add(self, value, right_null: bool):
+        """Ensure ``value`` is tracked; ``right_null`` marks a right null."""
         if value in self._parent:
             return self.find(value)
         self._parent[value] = value
         self._size[value] = 1
-        self._left[value] = {value} if side == "left" else set()
-        self._right[value] = {value} if side == "right" else set()
+        self._right[value] = {value} if right_null else set()
         self._pairs[value] = set()
         return value
 
@@ -156,7 +151,6 @@ class _ClassTracker:
             ra, rb = rb, ra
         self._parent[rb] = ra
         self._size[ra] += self._size.pop(rb)
-        self._left[ra] |= self._left.pop(rb)
         self._right[ra] |= self._right.pop(rb)
         self._pairs[ra] |= self._pairs.pop(rb)
         return ra
@@ -166,9 +160,6 @@ class _ClassTracker:
 
     def pairs_of(self, root) -> set:
         return self._pairs[root]
-
-    def left_count(self, root) -> int:
-        return len(self._left[root])
 
     def right_nulls(self, root) -> set:
         return self._right[root]
@@ -242,7 +233,7 @@ class DeltaSession:
         if not _defer_matching:
             started = time.perf_counter()
             self._run_cold_matching()
-            self._rescore_all()
+            self._rescore_dirty(removed_pairs=())
             self.last_result = self._build_result(
                 started, mode=MODE_COLD, batch=None
             )
@@ -271,7 +262,7 @@ class DeltaSession:
                     f"cannot replay pair ({left_id}, {right_id}): the "
                     "previous match is not internally consistent"
                 )
-        session._rescore_all()
+        session._rescore_dirty(removed_pairs=())
         session.last_result = session._build_result(
             time.perf_counter(), mode=MODE_WARM_START, batch=None
         )
@@ -321,8 +312,8 @@ class DeltaSession:
             right_null = is_null(right_value)
             if not left_null and not right_null:
                 continue
-            tracker.add(left_value, "left" if left_null else None)
-            tracker.add(right_value, "right" if right_null else None)
+            tracker.add(left_value, right_null=False)
+            tracker.add(right_value, right_null=right_null)
             survivor = tracker.union(left_value, right_value)
             if survivor is not None:
                 self._dirty_roots.add(survivor)
@@ -346,121 +337,63 @@ class DeltaSession:
 
     # -- scoring ----------------------------------------------------------
 
-    def _right_count(self, root) -> int:
-        cached = self._rc_cache.get(root)
-        if cached is None:
-            refs = self._right_refs
-            cached = sum(
-                1
-                for null in self._tracker.right_nulls(root)
-                if refs.get(null, 0) > 0
+    def _class_counts(self, value) -> tuple[int, int]:
+        """``(L, R)`` of ``value``'s class: the ⊓ lookup (module docs)."""
+        root = self._tracker.find(value)
+        right = self._rc_cache.get(root)
+        if right is None:
+            # _right_refs holds exactly the right nulls still present.
+            right = len(
+                self._tracker.right_nulls(root) & self._right_refs.keys()
             )
-            self._rc_cache[root] = cached
-        return cached
-
-    def _pair_score(self, t: Tuple, t_prime: Tuple) -> float:
-        """Exact paper pair score from the class structure (module docs)."""
-        lam = self.options.lam
-        tracker = self._tracker
-        total = 0.0
-        for left_value, right_value in zip(t.values, t_prime.values):
-            left_null = is_null(left_value)
-            right_null = is_null(right_value)
-            if not left_null and not right_null:
-                if left_value == right_value:
-                    total += 1.0
-            elif left_null and right_null:
-                root = tracker.find(left_value)
-                total += 2.0 / (
-                    tracker.left_count(root) + self._right_count(root)
-                )
-            elif left_null:
-                root = tracker.find(left_value)
-                total += 2.0 * lam / (tracker.left_count(root) + 1.0)
-            else:
-                root = tracker.find(right_value)
-                total += 2.0 * lam / (1.0 + self._right_count(root))
-        return total
-
-    def _refresh_tuple_scores(
-        self, left_ids: Iterable[str], right_ids: Iterable[str]
-    ) -> None:
-        mapping = self._state.mapping
-        pair_scores = self._pair_scores
-        for left_id in left_ids:
-            image = mapping.image(left_id)
-            if image:
-                self._left_scores[left_id] = sum(
-                    pair_scores[(left_id, right_id)] for right_id in image
-                ) / len(image)
-            else:
-                self._left_scores.pop(left_id, None)
-        for right_id in right_ids:
-            preimage = mapping.preimage(right_id)
-            if preimage:
-                self._right_scores[right_id] = sum(
-                    pair_scores[(left_id, right_id)] for left_id in preimage
-                ) / len(preimage)
-            else:
-                self._right_scores.pop(right_id, None)
-
-    def _recompute_similarity(self) -> float:
-        denominator = normalization_denominator(self.left, self.right)
-        if denominator == 0:
-            self.similarity = 1.0
-            return 1.0
-        numerator = sum(self._left_scores.values()) + sum(
-            self._right_scores.values()
-        )
-        self.similarity = numerator / denominator
-        return self.similarity
+            self._rc_cache[root] = right
+        return self._state.unifier.side_counts(value)[0], right
 
     def _rescore_dirty(
         self, removed_pairs: Sequence[tuple[str, str]]
     ) -> tuple[int, int]:
         """Re-score disturbed pairs and refresh affected tuple scores.
 
-        Returns ``(pairs_added, pairs_rescored)``.
+        A fresh state (cold start, replay, cold fallback) holds only new
+        pairs, so this scores every pair.  Returns ``(pairs_added,
+        pairs_rescored)``.
         """
         self._rc_cache.clear()
         tracker = self._tracker
         dirty_pairs = set(self._new_pairs)
         pairs_added = len(self._new_pairs)
-        for root in self._dirty_roots:
-            dirty_pairs |= tracker.pairs_of(tracker.find(root))
+        for root in {tracker.find(root) for root in self._dirty_roots}:
+            dirty_pairs |= tracker.pairs_of(root)
         self._dirty_roots.clear()
         self._new_pairs.clear()
+        lam = self.options.lam
         rescored = 0
         for pair in dirty_pairs:
             members = self._pairs.get(pair)
             if members is None:
                 continue  # the pair was removed this advance
-            self._pair_scores[pair] = self._pair_score(*members)
+            self._pair_scores[pair] = committed_pair_score(
+                *members, self._class_counts, lam
+            )
             rescored += 1
         affected_left = {pair[0] for pair in dirty_pairs}
         affected_right = {pair[1] for pair in dirty_pairs}
         affected_left.update(pair[0] for pair in removed_pairs)
         affected_right.update(pair[1] for pair in removed_pairs)
-        self._refresh_tuple_scores(affected_left, affected_right)
-        self._recompute_similarity()
-        return pairs_added, rescored
-
-    def _rescore_all(self) -> None:
-        """Score every committed pair from scratch (cold setup / replay)."""
-        self._rc_cache.clear()
-        self._dirty_roots.clear()
-        self._new_pairs.clear()
-        self._pair_scores = {
-            pair: self._pair_score(*members)
-            for pair, members in self._pairs.items()
-        }
-        self._left_scores = {}
-        self._right_scores = {}
         mapping = self._state.mapping
-        self._refresh_tuple_scores(
-            mapping.matched_left_ids(), mapping.matched_right_ids()
+        self._left_scores.update(tuple_scores(
+            affected_left, self._pair_scores, "left", mapping.image
+        ))
+        self._right_scores.update(tuple_scores(
+            affected_right, self._pair_scores, "right", mapping.preimage
+        ))
+        numerator = tuple_score_sum(
+            self._left_scores, self.left.tuple_ids(),
+            self._right_scores, self.right.tuple_ids(),
         )
-        self._recompute_similarity()
+        denominator = normalization_denominator(self.left, self.right)
+        self.similarity = numerator / denominator if denominator else 1.0
+        return pairs_added, rescored
 
     # -- matching ---------------------------------------------------------
 
@@ -625,8 +558,7 @@ class DeltaSession:
         """Rebuild the right-side state and re-run the greedy matching."""
         self._reset_right_state(new_right)
         self._run_cold_matching()
-        pairs_added = len(self._new_pairs)
-        self._rescore_all()
+        pairs_added, _ = self._rescore_dirty(removed_pairs=())
         result = self._build_result(
             started,
             mode=MODE_COLD_FALLBACK,

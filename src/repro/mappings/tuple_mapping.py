@@ -76,11 +76,21 @@ class TupleMapping:
     __slots__ = ("_pairs", "_forward", "_backward")
 
     def __init__(self, pairs: Iterable[tuple[str, str]] = ()) -> None:
-        self._pairs: set[tuple[str, str]] = set()
-        self._forward: dict[str, set[str]] = {}
-        self._backward: dict[str, set[str]] = {}
-        for left_id, right_id in pairs:
-            self.add(left_id, right_id)
+        self._pairs: set[tuple[str, str]] = {
+            (left_id, right_id) for left_id, right_id in pairs
+        }
+        # Image indexes, built on first use (see :meth:`_indexes`).
+        self._forward: dict[str, set[str]] | None = None
+        self._backward: dict[str, set[str]] | None = None
+
+    def _indexes(self) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
+        """The forward and backward image indexes, built on first use."""
+        if self._forward is None:
+            self._forward, self._backward = {}, {}
+            for left_id, right_id in self._pairs:
+                self._forward.setdefault(left_id, set()).add(right_id)
+                self._backward.setdefault(right_id, set()).add(left_id)
+        return self._forward, self._backward
 
     def add(self, left_id: str, right_id: str) -> None:
         """Add the pair ``(left_id, right_id)`` (idempotent)."""
@@ -88,8 +98,9 @@ class TupleMapping:
         if pair in self._pairs:
             return
         self._pairs.add(pair)
-        self._forward.setdefault(left_id, set()).add(right_id)
-        self._backward.setdefault(right_id, set()).add(left_id)
+        if self._forward is not None:
+            self._forward.setdefault(left_id, set()).add(right_id)
+            self._backward.setdefault(right_id, set()).add(left_id)
 
     def remove(self, left_id: str, right_id: str) -> None:
         """Remove a pair; raises :class:`MappingError` if absent."""
@@ -97,6 +108,8 @@ class TupleMapping:
         if pair not in self._pairs:
             raise MappingError(f"pair {pair} not in tuple mapping")
         self._pairs.remove(pair)
+        if self._forward is None:
+            return
         self._forward[left_id].discard(right_id)
         if not self._forward[left_id]:
             del self._forward[left_id]
@@ -108,19 +121,19 @@ class TupleMapping:
 
     def image(self, left_id: str) -> frozenset[str]:
         """``m(t)`` for a left tuple: the right ids it is matched to."""
-        return frozenset(self._forward.get(left_id, ()))
+        return frozenset(self._indexes()[0].get(left_id, ()))
 
     def preimage(self, right_id: str) -> frozenset[str]:
         """``m(t')`` for a right tuple: the left ids matched to it."""
-        return frozenset(self._backward.get(right_id, ()))
+        return frozenset(self._indexes()[1].get(right_id, ()))
 
     def matched_left_ids(self) -> set[str]:
         """Left ids participating in at least one pair."""
-        return set(self._forward)
+        return set(self._indexes()[0])
 
     def matched_right_ids(self) -> set[str]:
         """Right ids participating in at least one pair."""
-        return set(self._backward)
+        return set(self._indexes()[1])
 
     # -- container protocol ------------------------------------------------------
 
@@ -151,8 +164,14 @@ class TupleMapping:
         return f"TupleMapping({sample}{suffix} |m|={len(self._pairs)})"
 
     def copy(self) -> "TupleMapping":
-        """Return an independent copy."""
-        return TupleMapping(self._pairs)
+        """Return an independent copy.
+
+        Copies the pair set only; the copy builds its image indexes on
+        first use.
+        """
+        clone = TupleMapping()
+        clone._pairs = set(self._pairs)
+        return clone
 
     def inverted(self) -> "TupleMapping":
         """``m^{-1}``: the mapping with every pair flipped (Lemma 5.4 (4))."""
@@ -162,11 +181,13 @@ class TupleMapping:
 
     def is_left_injective(self) -> bool:
         """No left tuple maps to two right tuples (functional on ``I``)."""
-        return all(len(images) <= 1 for images in self._forward.values())
+        return all(len(images) <= 1 for images in self._indexes()[0].values())
 
     def is_right_injective(self) -> bool:
         """No right tuple is hit by two left tuples."""
-        return all(len(preimages) <= 1 for preimages in self._backward.values())
+        return all(
+            len(preimages) <= 1 for preimages in self._indexes()[1].values()
+        )
 
     def is_fully_injective(self) -> bool:
         """Both left and right injective (1:1)."""

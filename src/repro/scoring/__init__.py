@@ -8,6 +8,7 @@ from .lemma54 import (
 )
 from .match_score import (
     ScoreBreakdown,
+    score_committed_pairs,
     score_match,
     score_match_with_breakdown,
     tuple_pair_score,
@@ -26,6 +27,7 @@ __all__ = [
     "instance_size",
     "max_cell_score",
     "normalization_denominator",
+    "score_committed_pairs",
     "score_match",
     "score_match_with_breakdown",
     "tuple_pair_score",

@@ -24,14 +24,22 @@ from repro.algorithms.assignment import (
 from repro.algorithms.exact import exact_compare
 from repro.algorithms.pair import PreparedPair
 from repro.algorithms.refine import refine_match
-from repro.algorithms.signature import SignatureIndex, signature_compare
+from repro.algorithms.signature import (
+    SignatureIndex,
+    signature_compare,
+    signature_step_only_score,
+)
 from repro.algorithms.unifier import Unifier
 from repro.core.errors import InstanceError
 from repro.core.instance import Instance, prepare_for_comparison
+from repro.core.values import LabeledNull
 from repro.datagen.perturb import PerturbationConfig, perturb
 from repro.datagen.synthetic import generate_dataset
 from repro.mappings.constraints import MatchOptions
+from repro.mappings.instance_match import InstanceMatch
+from repro.mappings.tuple_mapping import TupleMapping
 from repro.runtime.anytime import compare_anytime
+from repro.scoring.match_score import score_match
 
 from .test_assignment import trap_pair
 
@@ -42,6 +50,31 @@ def modcell_pair(rows=8, seed=3):
         PerturbationConfig.mod_cell(5.0, seed=seed),
     )
     return prepare_for_comparison(scenario.source, scenario.target)
+
+
+def n_to_m_pair():
+    """Under general options, ``l2`` matches three right tuples."""
+
+    def rows(*specs):
+        return [
+            tuple(LabeledNull(v) if v.isupper() else v for v in spec.split())
+            for spec in specs
+        ]
+
+    attrs = ("A", "B", "C")
+    left = Instance.from_rows(
+        "R", attrs, rows("a N1 a", "N2 N3 b"), id_prefix="l"
+    )
+    right = Instance.from_rows("R", attrs, rows(
+        "R4 R5 b", "a R6 b", "a b b", "b R7 R8", "b a b", "a R9 a"
+    ), id_prefix="r")
+    return left, right
+
+
+PRESETS = [
+    "general", "versioning", "data_repair", "record_merging",
+    "universal_vs_core", "universal_vs_universal",
+]
 
 
 def _count_function(monkeypatch, counts, original):
@@ -139,6 +172,43 @@ class TestSharedPairSameAnswers:
         bound = assignment_bounds(left, right, pair=pair)
         assert bound == assignment_bounds(left, right, options)
         assert bound.blocks is pair.blocks
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_every_rung_scores_as_score_match(self, preset):
+        """The rungs score committed pairs from the unifier's class
+        counts; each similarity equals ``score_match`` of the match it
+        returns, bit for bit, with a shared pair or without one."""
+        options = getattr(MatchOptions, preset)()
+        for left, right in (modcell_pair(), n_to_m_pair()):
+            pair = PreparedPair(left, right, options)
+            floor = signature_compare(left, right, pair=pair)
+            results = [
+                floor,
+                refine_match(floor, pair=pair),
+                assignment_compare(left, right, seed_result=floor, pair=pair),
+                assignment_compare(left, right, options),
+                exact_compare(left, right, node_budget=20_000, pair=pair),
+                compare_anytime(
+                    left, right, options=options, node_budget=20_000
+                ),
+            ]
+            for result in results:
+                assert result.similarity == score_match(
+                    result.match, lam=options.lam
+                ), result.algorithm
+            # Table 4's score replays the signature step's pairs.
+            unifier = Unifier.for_instances(left, right)
+            kept = [
+                (l, r) for l, r in floor.stats["pairs_after_signature"]
+                if unifier.try_unify_tuples(
+                    left.get_tuple(l), right.get_tuple(r)
+                )
+            ]
+            h_l, h_r = unifier.to_value_mappings()
+            assert signature_step_only_score(floor) == score_match(
+                InstanceMatch(left, right, h_l, h_r, TupleMapping(kept)),
+                lam=options.lam,
+            )
 
     def test_lazy_values_equal_the_one_shot_builders(self):
         left, right = modcell_pair()

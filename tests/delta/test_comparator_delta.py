@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import math
+import random
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.algorithms.signature import signature_compare
 from repro.comparator import Comparator
 from repro.core.errors import DeltaError
 from repro.delta.batch import DeltaBatch, TupleOp
+from repro.mappings.constraints import MatchOptions
 from repro.scoring.match_score import score_match
 
 from .conftest import rand_batch, rand_instance
@@ -43,7 +45,7 @@ class TestCompareDelta:
         # Same live session advanced — no replay, state moved to r1.
         assert session.last_result is r1
         assert r1.stats["delta_mode"] in ("incremental", "cold-fallback")
-        assert close(r1.similarity, score_match(r1.match, lam=r1.options.lam))
+        assert r1.similarity == score_match(r1.match, lam=r1.options.lam)
 
     def test_chained_compare_delta(self, rng):
         left = rand_instance(rng, "l", "NL", 10)
@@ -73,8 +75,9 @@ class TestCompareDelta:
         batch = rand_batch(rng, right, [0])
         warm = comparator.compare_delta(cold, batch)
         assert warm.algorithm == "signature-delta"
-        assert close(warm.similarity,
-                     score_match(warm.match, lam=warm.options.lam))
+        assert warm.similarity == score_match(
+            warm.match, lam=warm.options.lam
+        )
 
     def test_superseded_result_falls_back_to_replay(self, rng):
         """Advancing from an *old* result (the session has moved on)
@@ -90,6 +93,31 @@ class TestCompareDelta:
         r1_again = comparator.compare_delta(r0, batch)
         assert r1_again is not r1
         assert close(r1_again.similarity, r1.similarity)
+
+    def test_held_result_outlives_the_next_advance(self):
+        """Each warm result owns its pairs: the next advance leaves a held
+        result a valid match of its instances, and a branch from it
+        replays a valid match of its right instance plus the batch."""
+        rng = random.Random(3)
+        left = rand_instance(rng, "l", "NL", 6)
+        right = rand_instance(rng, "r", "NR", 6)
+        options = MatchOptions.versioning()
+        comparator = Comparator()
+        session = comparator.delta_session(left, right, options=options)
+        counter = [0]
+        first = comparator.compare_delta(
+            session.last_result, rand_batch(rng, right, counter)
+        )
+        pairs = sorted(first.match.m)
+        batch = rand_batch(rng, first.match.right, counter)
+        second = comparator.compare_delta(first, batch)
+        assert second.stats["delta_mode"] == "incremental"
+        assert second.match.m is not first.match.m
+        assert sorted(first.match.m) == pairs
+        assert score_match(first.match, lam=options.lam) == first.similarity
+        branch = comparator.compare_delta(first, batch)
+        assert branch.match.right.ids() == batch.apply(first.match.right).ids()
+        assert branch.similarity == score_match(branch.match, lam=options.lam)
 
     def test_registry_purges_superseded_results(self, rng):
         """The latest result per session is kept alive on purpose (the

@@ -3,10 +3,10 @@
 Two invariants carry the whole design and are property-tested here:
 
 1. **Validity** — after any chain of advances, the session's similarity
-   equals ``score_match`` of the match it reports, up to floating-point
-   summation order (the session sums its pair scores in its own order,
-   so checks use a tolerance).  The warm score is never an estimate;
-   only its *optimality* is approximate.
+   equals ``score_match`` of the match it reports, bit for bit (both run
+   one score algebra and sum in instance order, so checks use ``==``).
+   The warm score is never an estimate; only its *optimality* is
+   approximate.
 2. **Honest staleness** — a cold re-run of the signature algorithm on
    the evolved pair never beats the warm score by more than the
    reported ``staleness_bound``.
@@ -96,8 +96,7 @@ class TestColdStart:
         result = session.last_result
         assert result.stats["delta_mode"] == MODE_COLD
         assert_same_match(result, cold)
-        assert close(result.similarity,
-                     score_match(result.match, lam=options.lam))
+        assert result.similarity == score_match(result.match, lam=options.lam)
 
     @pytest.mark.parametrize("align", [True, False],
                              ids=["align", "noalign"])
@@ -159,8 +158,9 @@ class TestAdvance:
             result = session.advance(batch)
             current = batch.apply(current)
             # Validity: reported similarity == rescoring the match.
-            assert close(result.similarity,
-                         score_match(result.match, lam=options.lam))
+            assert result.similarity == score_match(
+                result.match, lam=options.lam
+            )
             # The match really is over (left, evolved right).
             assert result.match.right.ids() == current.ids()
             # Honesty: cold never beats warm + bound.
@@ -264,8 +264,9 @@ class TestFromResult:
         assert result.stats["delta_mode"] in (
             MODE_INCREMENTAL, MODE_COLD_FALLBACK
         )
-        assert close(result.similarity,
-                     score_match(result.match, lam=result.options.lam))
+        assert result.similarity == score_match(
+            result.match, lam=result.options.lam
+        )
 
 
 class TestValidation:

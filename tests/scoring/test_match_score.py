@@ -6,6 +6,11 @@ in EXPERIMENTS.md: the paper's stated ``(12+4λ)/24`` ignores the ⊓ penalty
 its own definition imposes on the non-injective ``N1, N2 → Va`` mapping.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.instance import Instance
@@ -270,3 +275,46 @@ class TestRelationScores:
         match = InstanceMatch(left, right, m=TupleMapping([("l1", "r1")]))
         breakdown = score_match_with_breakdown(match, lam=LAM)
         assert breakdown.relation_scores["Empty"] == 1.0
+
+
+# An n:m match whose left tuple l2 has an image of three tuples: a float sum
+# of three terms depends on their order, and a set's order follows the
+# string hashes.  Capital-letter cells are labeled nulls.
+_NM_SCRIPT = """
+from repro.algorithms.unifier import Unifier
+from repro.core.instance import Instance
+from repro.core.values import LabeledNull
+from repro.mappings.instance_match import InstanceMatch
+from repro.mappings.tuple_mapping import TupleMapping
+from repro.scoring.match_score import score_match
+
+def rows(*specs):
+    return [tuple(LabeledNull(v) if v.isupper() else v for v in spec.split())
+            for spec in specs]
+
+left = Instance.from_rows("R", ("A", "B", "C"),
+                          rows("a N1 a", "N2 N3 b"), id_prefix="l")
+right = Instance.from_rows("R", ("A", "B", "C"), rows(
+    "R4 R5 b", "a R6 b", "a b b", "b R7 R8", "b a b", "a R9 a"),
+    id_prefix="r")
+pairs = [("l1", "r6"), ("l2", "r1"), ("l2", "r2"), ("l2", "r3")]
+unifier = Unifier.for_instances(left, right)
+for left_id, right_id in pairs:
+    unifier.unify_tuples(left.get_tuple(left_id), right.get_tuple(right_id))
+h_l, h_r = unifier.to_value_mappings()
+print(repr(score_match(InstanceMatch(left, right, h_l, h_r, TupleMapping(pairs)))))
+"""
+
+
+class TestHashSeedIndependence:
+    def test_n_to_m_score_is_the_same_under_every_hash_seed(self):
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+            outputs.append(subprocess.run(
+                [sys.executable, "-c", _NM_SCRIPT], env=env, check=True,
+                capture_output=True, text=True,
+            ).stdout)
+        assert outputs[0] == outputs[1]
