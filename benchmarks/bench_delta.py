@@ -25,7 +25,14 @@ Gates (any failure exits 1):
   warm match bit for bit (the reported score is exact for the match it
   ships);
 * **staleness honesty** — the cold similarity never exceeds the warm
-  similarity plus the certified ``staleness_bound``.
+  similarity plus the certified ``staleness_bound``;
+* **staleness exact** — the warm ``staleness_bound``, built on column
+  overlaps the session patches per batch, equals ``max(0, min(1,
+  similarity_upper_bound(cold left sketch, cold right sketch)) -
+  similarity)`` bit for bit;
+* **warm match complete** — the warm match, whose value mappings the
+  session retargets per dirty class, satisfies ``h_l(t) = h_r(t')`` on
+  every pair (``InstanceMatch.is_complete``).
 """
 
 from __future__ import annotations
@@ -50,7 +57,11 @@ from repro.delta.engine import DeltaSession  # noqa: E402
 from repro.delta.maintenance import SketchMaintainer  # noqa: E402
 from repro.index import IndexParams  # noqa: E402
 from repro.index.lsh import LSHIndex  # noqa: E402
-from repro.index.sketch import InstanceSketch, sketch_to_dict  # noqa: E402
+from repro.index.sketch import (  # noqa: E402
+    InstanceSketch,
+    similarity_upper_bound,
+    sketch_to_dict,
+)
 from repro.scoring.match_score import score_match  # noqa: E402
 
 # lineitem alone is ~4/5 of SF 0.01; the remaining tables keep the bench
@@ -147,6 +158,10 @@ def run(args) -> dict:
     ratio = t_warm / t_cold if t_cold > 0 else float("inf")
     bound = warm_result.stats["staleness_bound"]
     rescored = score_match(warm_result.match, lam=warm_result.options.lam)
+    cold_upper = similarity_upper_bound(
+        InstanceSketch.build(left, params), cold_sketch, warm_result.options
+    )
+    cold_staleness = max(0.0, min(1.0, cold_upper) - warm_result.similarity)
 
     checks = {
         "speed_ratio_below_gate": ratio < SPEED_GATE_FRACTION,
@@ -156,6 +171,8 @@ def run(args) -> dict:
         "warm_score_valid": warm_result.similarity == rescored,
         "staleness_honest": cold_result.similarity
         <= warm_result.similarity + bound + EPS,
+        "staleness_exact": bound == cold_staleness,
+        "warm_match_complete": warm_result.match.is_complete(),
     }
 
     report = {

@@ -35,6 +35,18 @@ from ..core.values import LabeledNull, Value, is_null
 from ..mappings.value_mapping import ValueMapping
 
 
+def class_image(constant: Value | None, nulls: Iterable[LabeledNull]) -> Value:
+    """The value every null of one class maps to.
+
+    The class constant if there is one; otherwise the member null with
+    the smallest label (deterministic, and a member, so no fresh label
+    is needed).
+    """
+    if constant is not None:
+        return constant
+    return min(nulls, key=lambda n: n.label)
+
+
 class Unifier:
     """Union-find over values with per-class constant and side-counts.
 
@@ -315,12 +327,7 @@ class Unifier:
                 groups.setdefault(self.find(value), []).append(value)
         h_l, h_r = ValueMapping(), ValueMapping()
         for root, nulls in groups.items():
-            constant = self._constant.get(root)
-            if constant is not None:
-                target: Value = constant
-            else:
-                # Deterministic canonical null for reproducibility.
-                target = min(nulls, key=lambda n: n.label)
+            target = class_image(self._constant.get(root), nulls)
             for null in nulls:
                 if null == target:
                     continue

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from ..core.errors import DeltaError
+from ..core.errors import DeltaError, InstanceError
 from ..core.instance import Instance
 from ..core.tuples import Tuple
 from ..core.values import Value
@@ -99,20 +99,19 @@ class DeltaBatch:
     [('x',), ('z',)]
     """
 
-    __slots__ = ("ops", "_by_key")
+    __slots__ = ("ops",)
 
     def __init__(self, ops: Iterable[TupleOp] = ()) -> None:
         self.ops: tuple[TupleOp, ...] = tuple(ops)
-        by_key: dict[tuple[str, str], TupleOp] = {}
+        keys: set[tuple[str, str]] = set()
         for op in self.ops:
             key = (op.relation, op.tuple_id)
-            if key in by_key:
+            if key in keys:
                 raise DeltaError(
                     f"batch holds two ops for tuple {op.tuple_id!r} of "
                     f"relation {op.relation!r}; compose batches instead"
                 )
-            by_key[key] = op
-        self._by_key = by_key
+            keys.add(key)
 
     # -- introspection ------------------------------------------------------
 
@@ -163,54 +162,55 @@ class DeltaBatch:
         Ordering is preserved exactly as an in-place edit would: surviving
         tuples keep their positions, updated tuples are replaced in place,
         inserted tuples are appended in op order.  Preconditions are
-        checked (:class:`~repro.core.errors.DeltaError` on violation):
-        inserts must be fresh ids, deletes/updates must name existing
-        tuples whose current values equal the recorded ``old_values``.
+        checked in op order (:class:`~repro.core.errors.DeltaError` on
+        violation): inserts must be fresh ids (an id may be reused only
+        once its tuple is deleted, in this batch or earlier),
+        deletes/updates must name existing tuples whose current values
+        equal the recorded ``old_values``.  The work is one dict copy per
+        relation plus the ops (:meth:`Instance.edited`).
         """
-        by_key = self._by_key
         for op in self.ops:
             if op.relation not in instance.schema:
                 raise DeltaError(
                     f"batch touches unknown relation {op.relation!r}"
                 )
-        result = Instance(instance.schema, name=instance.name if name is None else name)
-        seen: set[tuple[str, str]] = set()
-        for relation in instance.relations():
-            rel_name = relation.schema.name
-            schema = relation.schema
-            for t in relation:
-                op = by_key.get((rel_name, t.tuple_id))
-                if op is None:
-                    result.add(t)
-                    continue
-                seen.add((rel_name, t.tuple_id))
-                if op.kind == OP_INSERT:
-                    raise DeltaError(
-                        f"insert of existing tuple {t.tuple_id!r} in "
-                        f"relation {rel_name!r}"
-                    )
-                if op.old_values != t.values:
-                    raise DeltaError(
-                        f"{op.kind} of tuple {t.tuple_id!r} records stale "
-                        f"old values {op.old_values!r} (instance holds "
-                        f"{t.values!r})"
-                    )
-                if op.kind == OP_UPDATE:
-                    result.add(Tuple(t.tuple_id, schema, op.values))
-                # deletes simply drop the tuple
+        edits: dict[str, dict[str, Tuple | None]] = {}
         for op in self.ops:
-            key = (op.relation, op.tuple_id)
-            if key in seen:
+            relation = instance.relation(op.relation)
+            if op.tuple_id not in relation:
+                if op.kind != OP_INSERT:
+                    raise DeltaError(
+                        f"{op.kind} of unknown tuple {op.tuple_id!r} in "
+                        f"relation {op.relation!r}"
+                    )
                 continue
-            if op.kind != OP_INSERT:
+            t = relation.get(op.tuple_id)
+            if op.kind == OP_INSERT:
                 raise DeltaError(
-                    f"{op.kind} of unknown tuple {op.tuple_id!r} in "
+                    f"insert of existing tuple {t.tuple_id!r} in "
                     f"relation {op.relation!r}"
                 )
-            result.add(
-                Tuple(op.tuple_id, instance.schema.relation(op.relation), op.values)
+            if op.old_values != t.values:
+                raise DeltaError(
+                    f"{op.kind} of tuple {t.tuple_id!r} records stale "
+                    f"old values {op.old_values!r} (instance holds "
+                    f"{t.values!r})"
+                )
+            edits.setdefault(op.relation, {})[op.tuple_id] = (
+                Tuple(t.tuple_id, relation.schema, op.values)
+                if op.kind == OP_UPDATE
+                else None
             )
-        return result
+        inserts = (
+            Tuple(op.tuple_id, instance.schema.relation(op.relation), op.values)
+            for op in self.ops
+            if op.kind == OP_INSERT
+        )
+        try:
+            return instance.edited(edits, inserts, name=name)
+        except InstanceError as error:
+            # Same-relation reuse failed above; this is another relation's id.
+            raise DeltaError(f"insert reuses a live tuple id: {error}") from error
 
     def invert(self) -> "DeltaBatch":
         """The batch undoing this one: ``b.invert().apply(b.apply(I)) ≅ I``."""

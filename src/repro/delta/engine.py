@@ -28,7 +28,9 @@ carries a certified ``staleness_bound``: the admissible sketch bound
 (:func:`~repro.index.sketch.similarity_upper_bound`) minus the warm
 similarity, an upper bound on how far *any* rematch (cold greedy or even
 the exact algorithm) can pull ahead.  A bound of zero certifies the warm
-answer as exact.
+answer as exact.  The session keeps the bound's column overlaps
+(:func:`~repro.index.sketch.column_overlaps`) and patches them from the
+constants each sketch repair moved, so a warm bound walks no column.
 
 Pair-score algebra
 ------------------
@@ -39,6 +41,14 @@ changes) and counts its ``R`` right nulls still present (classes never
 split when a tuple is deleted).  Deletions shrink ``R``, merges grow
 ``L``/``R`` — both are tracked as *dirty classes* and their incident
 pairs re-scored.
+
+Value mappings
+--------------
+The session keeps ``h_l`` and ``h_r`` as dicts and retargets only the
+dirty classes: every null member maps to the class's
+:func:`~repro.algorithms.unifier.class_image`, the choice
+:meth:`~repro.algorithms.unifier.Unifier.to_value_mappings` makes, so
+each result's mappings equal a fresh extraction.
 """
 
 from __future__ import annotations
@@ -59,12 +69,20 @@ from ..algorithms.signature import (
     _relation_order,
     _signature_step,
 )
+from ..algorithms.unifier import class_image
 from ..core.errors import DeltaError
 from ..core.instance import Instance
 from ..core.tuples import Tuple
 from ..core.values import LabeledNull, is_null
-from ..index.sketch import IndexParams, similarity_upper_bound
+from ..index.sketch import (
+    IndexParams,
+    column_overlaps,
+    patch_column_overlaps,
+    similarity_upper_bound,
+)
 from ..mappings.constraints import MatchOptions
+from ..mappings.instance_match import InstanceMatch
+from ..mappings.value_mapping import ValueMapping
 from ..scoring.match_score import (
     committed_pair_score,
     tuple_score_sum,
@@ -91,30 +109,31 @@ class _ClassTracker:
     """Union-find mirror of the unifier's committed value-mapping classes.
 
     The unifier itself cannot answer "which pairs touch this class" or
-    "how many right-side nulls of this class are still present", so the
-    session maintains this shadow structure: for every class root, the
-    right nulls and the committed pairs incident to the class.  Unions
-    merge small-into-large, keeping total set movement ``O(n log n)``.
+    "which nulls does this class hold", so the session maintains this
+    shadow structure: for every class root, the null members (both
+    sides, deleted right nulls included, as in the unifier) and the
+    committed pairs incident to the class.  Unions merge
+    small-into-large, keeping total set movement ``O(n log n)``.
     """
 
-    __slots__ = ("_parent", "_size", "_right", "_pairs")
+    __slots__ = ("_parent", "_size", "_nulls", "_pairs")
 
     def __init__(self) -> None:
         self._parent: dict = {}
         self._size: dict = {}
-        self._right: dict = {}
+        self._nulls: dict = {}
         self._pairs: dict = {}
 
     def __contains__(self, value) -> bool:
         return value in self._parent
 
-    def add(self, value, right_null: bool):
-        """Ensure ``value`` is tracked; ``right_null`` marks a right null."""
+    def add(self, value, null: bool):
+        """Ensure ``value`` is tracked; ``null`` marks a labeled null."""
         if value in self._parent:
             return self.find(value)
         self._parent[value] = value
         self._size[value] = 1
-        self._right[value] = {value} if right_null else set()
+        self._nulls[value] = {value} if null else set()
         self._pairs[value] = set()
         return value
 
@@ -151,7 +170,7 @@ class _ClassTracker:
             ra, rb = rb, ra
         self._parent[rb] = ra
         self._size[ra] += self._size.pop(rb)
-        self._right[ra] |= self._right.pop(rb)
+        self._nulls[ra] |= self._nulls.pop(rb)
         self._pairs[ra] |= self._pairs.pop(rb)
         return ra
 
@@ -161,8 +180,8 @@ class _ClassTracker:
     def pairs_of(self, root) -> set:
         return self._pairs[root]
 
-    def right_nulls(self, root) -> set:
-        return self._right[root]
+    def nulls(self, root) -> set:
+        return self._nulls[root]
 
 
 class _ObservedState(_MatchState):
@@ -276,6 +295,9 @@ class DeltaSession:
             right, IndexParams(), track_minhash=False
         )
         self._right_sketch = self._right_maintainer.materialize()
+        self._overlaps = column_overlaps(
+            self._left_sketch, self._right_sketch, self.options
+        )
         # The pair checks the comparison preconditions for every right
         # instance the session starts from.
         self._state = _ObservedState(
@@ -290,6 +312,8 @@ class DeltaSession:
         self._dirty_roots: set = set()
         self._new_pairs: set[tuple[str, str]] = set()
         self._rc_cache: dict = {}
+        self._h_l: dict = {}
+        self._h_r: dict = {}
         self._right_refs: dict[LabeledNull, int] = {}
         for t in right.tuples():
             for value in t.values:
@@ -312,8 +336,8 @@ class DeltaSession:
             right_null = is_null(right_value)
             if not left_null and not right_null:
                 continue
-            tracker.add(left_value, right_null=False)
-            tracker.add(right_value, right_null=right_null)
+            tracker.add(left_value, null=left_null)
+            tracker.add(right_value, null=right_null)
             survivor = tracker.union(left_value, right_value)
             if survivor is not None:
                 self._dirty_roots.add(survivor)
@@ -342,10 +366,9 @@ class DeltaSession:
         root = self._tracker.find(value)
         right = self._rc_cache.get(root)
         if right is None:
-            # _right_refs holds exactly the right nulls still present.
-            right = len(
-                self._tracker.right_nulls(root) & self._right_refs.keys()
-            )
+            # _right_refs holds exactly the right nulls still present;
+            # left nulls never enter it.
+            right = len(self._tracker.nulls(root) & self._right_refs.keys())
             self._rc_cache[root] = right
         return self._state.unifier.side_counts(value)[0], right
 
@@ -364,6 +387,7 @@ class DeltaSession:
         pairs_added = len(self._new_pairs)
         for root in {tracker.find(root) for root in self._dirty_roots}:
             dirty_pairs |= tracker.pairs_of(root)
+            self._retarget(root)
         self._dirty_roots.clear()
         self._new_pairs.clear()
         lam = self.options.lam
@@ -394,6 +418,17 @@ class DeltaSession:
         denominator = normalization_denominator(self.left, self.right)
         self.similarity = numerator / denominator if denominator else 1.0
         return pairs_added, rescored
+
+    def _retarget(self, root) -> None:
+        """Point every null of ``root``'s class at the class's image."""
+        nulls = self._tracker.nulls(root)
+        target = class_image(self._state.unifier.class_constant(root), nulls)
+        h_l, h_r, left_nulls = self._h_l, self._h_r, self._left_nulls
+        for null in nulls:
+            # A class's target only moves to a constant or a smaller
+            # label, so no mapped null ever becomes one.
+            if null != target:
+                (h_l if null in left_nulls else h_r)[null] = target
 
     # -- matching ---------------------------------------------------------
 
@@ -442,8 +477,12 @@ class DeltaSession:
             return self._cold_fallback(new_right, batch, started)
 
         # 1. Sketch + signature-index maintenance under the batch.
-        self._right_sketch, _ = self._right_maintainer.apply(
+        self._right_sketch, repair = self._right_maintainer.apply(
             batch, fingerprint=False
+        )
+        patch_column_overlaps(
+            self._overlaps, self._left_sketch, self._right_sketch,
+            repair.constants_before, self.options,
         )
         self._right_index.apply_batch(batch, new_right)
 
@@ -575,7 +614,8 @@ class DeltaSession:
         upper = min(
             1.0,
             similarity_upper_bound(
-                self._left_sketch, self._right_sketch, self.options
+                self._left_sketch, self._right_sketch, self.options,
+                overlaps=self._overlaps,
             ),
         )
         return max(0.0, upper - self.similarity)
@@ -590,7 +630,11 @@ class DeltaSession:
         pairs_removed: int = 0,
         rescored_pairs: int = 0,
     ) -> ComparisonResult:
-        match = self._state.build_match()
+        match = InstanceMatch(
+            self.left, self.right,
+            ValueMapping.copy_of(self._h_l), ValueMapping.copy_of(self._h_r),
+            self._state.mapping.copy(),
+        )
         bound = self.staleness_bound()
         summary = batch.summary() if batch is not None else {
             "inserted": 0, "deleted": 0, "updated": 0

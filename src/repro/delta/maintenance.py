@@ -29,7 +29,9 @@ slots whose minimum could have moved.
 column statistics — enough for
 :func:`~repro.index.sketch.similarity_upper_bound` — skipping all
 per-cell token hashing.  The warm comparison engine
-(:mod:`repro.delta.engine`) uses this mode for its staleness bound.
+(:mod:`repro.delta.engine`) uses this mode for its staleness bound, and
+patches the bound's column overlaps from the constants each repair
+reports it moved (:attr:`SketchRepair.constants_before`).
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from dataclasses import dataclass
 
 from ..core.errors import DeltaError
 from ..core.instance import Instance
+from ..core.values import is_null
 from ..index.sketch import (
     EMPTY_SLOT,
     _MERSENNE_PRIME,
@@ -63,6 +66,10 @@ class SketchRepair:
     surviving token set.  ``full_minhash_rebuild`` is set when the dirty
     fraction made a whole-signature recompute cheaper than per-slot
     repair — still over the count-tracked hash set, never the instance.
+    ``constants_before`` lists ``(relation, attribute, key, count
+    before the batch)`` for every column constant the batch retired or
+    admitted, keyed as :class:`~repro.index.sketch.ColumnSketch` keys
+    them (:func:`~repro.index.sketch.patch_column_overlaps` reads it).
     """
 
     tokens_added: int = 0
@@ -72,6 +79,7 @@ class SketchRepair:
     minhash_slots_patched: int = 0
     minhash_slots_rebuilt: int = 0
     full_minhash_rebuild: bool = False
+    constants_before: tuple[tuple[str, str, int, int], ...] = ()
 
     @property
     def columns_repaired(self) -> int:
@@ -106,8 +114,10 @@ class SketchMaintainer:
         self._coefficients = params.coefficients() if track_minhash else ()
         self._scan = SketchScan(instance, tokens=track_minhash)
         # Token hash -> its count before the batch, for hashes the running
-        # apply() touched.
+        # apply() touched; likewise (relation, attribute, key) -> count
+        # for column constants.
         self._touched: dict[int, int] = {}
+        self._constants_before: dict[tuple[str, str, int], int] = {}
         self._minhash: list[int] = (
             list(_minhash(self._scan.hash_counts.keys(), params))
             if track_minhash
@@ -128,12 +138,22 @@ class SketchMaintainer:
 
     # -- cell admission / retirement ---------------------------------------
 
+    def _note_constant(self, column, value) -> None:
+        if is_null(value):
+            return
+        key = self._scan.constant_key(value)
+        slot = (column.relation, column.attribute, key)
+        if slot not in self._constants_before:
+            self._constants_before[slot] = column.constants.get(key, 0)
+
     def _admit(self, column, value) -> None:
+        self._note_constant(column, value)
         h = self._scan.admit(column, value)
         if h is not None and h not in self._touched:
             self._touched[h] = self._scan.hash_counts[h] - 1
 
     def _retire(self, column, value) -> None:
+        self._note_constant(column, value)
         h = self._scan.retire(column, value)
         if h is not None and h not in self._touched:
             self._touched[h] = self._scan.hash_counts.get(h, 0) + 1
@@ -162,6 +182,7 @@ class SketchMaintainer:
             )
         prev_minhash = tuple(self._minhash)
         self._touched = touched = {}
+        self._constants_before = {}
         columns_touched: set[tuple[str, str]] = set()
         for op in batch:
             state = self._scan.relations.get(op.relation)
@@ -224,6 +245,11 @@ class SketchMaintainer:
             minhash_slots_patched=patched,
             minhash_slots_rebuilt=rebuilt,
             full_minhash_rebuild=full_rebuild,
+            constants_before=tuple(
+                (relation, attribute, key, before)
+                for (relation, attribute, key), before
+                in self._constants_before.items()
+            ),
         )
         return sketch, report
 

@@ -46,6 +46,7 @@ import numbers
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterable
 
 from ..core.errors import DeltaError, FormatError
 from ..core.instance import Instance
@@ -223,9 +224,14 @@ class _ColumnScan:
     ``rel␟attr␟C␟<constant>`` for a constant (``␟`` is ``\\x1f``).
     """
 
-    __slots__ = ("name", "constants", "nulls", "null_base", "constant_prefix")
+    __slots__ = (
+        "relation", "attribute", "name", "constants", "nulls", "null_base",
+        "constant_prefix",
+    )
 
     def __init__(self, relation: str, attribute: str) -> None:
+        self.relation = relation
+        self.attribute = attribute
         self.name = f"{relation}.{attribute}"
         self.constants: dict[int, int] = {}
         self.nulls = 0
@@ -291,6 +297,10 @@ class SketchScan:
             encoded = _constant_token(value)
             cached = self._encoded[cache_key] = (encoded, stable_hash64(encoded))
         return cached
+
+    def constant_key(self, value) -> int:
+        """The key a constant counts under in its column's multiset."""
+        return self._encode(value)[1]
 
     def admit(self, column: _ColumnScan, value) -> int | None:
         """Count one cell in; returns its token hash (``None`` without tokens)."""
@@ -495,18 +505,118 @@ def _column(sketch: RelationSketch, attribute: str) -> ColumnSketch:
     return ColumnSketch(constants={}, null_count=sketch.tuple_count)
 
 
+Overlaps = dict[str, dict[str, tuple[int, int]]]
+"""Per relation, per attribute: ``(query side, candidate side)`` overlap."""
+
+_NO_OVERLAP = (0, 0)
+
+
+def _overlap(
+    probe: dict[int, int], other: dict[int, int], injective: bool
+) -> tuple[int, int]:
+    """One column's constant overlap, the only part of the bound that
+    visits keys (those both columns hold).
+
+    Fully injective: ``Σ_key min(count, count′)`` on both sides.
+    Otherwise: how many of each side's constants the other column holds.
+    """
+    common = probe.keys() & other.keys()
+    if injective:
+        shared = sum(min(probe[key], other[key]) for key in common)
+        return shared, shared
+    return (
+        sum(probe[key] for key in common),
+        sum(other[key] for key in common),
+    )
+
+
+def _relation_overlaps(
+    query: RelationSketch, candidate: RelationSketch, injective: bool
+) -> dict[str, tuple[int, int]]:
+    """The overlap of every column both relation sketches hold."""
+    columns = candidate.columns
+    return {
+        attribute: _overlap(
+            column.constants, columns[attribute].constants, injective
+        )
+        for attribute, column in query.columns.items()
+        if attribute in columns
+    }
+
+
+def column_overlaps(
+    query: InstanceSketch,
+    candidate: InstanceSketch,
+    options: MatchOptions,
+) -> Overlaps:
+    """The constant overlap of every column both sketches hold.
+
+    Keyed by relation, then attribute; each value is ``(query side,
+    candidate side)`` as :func:`_overlap` counts them under ``options``.
+    Columns only one side holds share no constant and are left out.
+    :func:`similarity_upper_bound` takes this map as ``overlaps``; a
+    caller that keeps one alive edits it with :func:`patch_column_overlaps`.
+    """
+    injective = options.fully_injective
+    return {
+        name: _relation_overlaps(q_rel, candidate.relations[name], injective)
+        for name, q_rel in query.relations.items()
+        if name in candidate.relations
+    }
+
+
+def patch_column_overlaps(
+    overlaps: Overlaps,
+    query: InstanceSketch,
+    candidate: InstanceSketch,
+    changes: Iterable[tuple[str, str, int, int]],
+    options: MatchOptions,
+) -> None:
+    """Edit ``overlaps`` in place after the candidate's constants moved.
+
+    ``changes`` holds ``(relation, attribute, key, count before)`` for
+    each candidate column constant whose count changed (the
+    ``constants_before`` of a :class:`~repro.delta.SketchRepair`); the
+    count after is read off ``candidate``.  Each change costs O(1), and
+    the result equals :func:`column_overlaps` of the two sketches.
+    """
+    injective = options.fully_injective
+    for relation, attribute, key, before in changes:
+        q_rel = query.relations.get(relation)
+        q_col = q_rel.columns.get(attribute) if q_rel is not None else None
+        q_count = q_col.constants.get(key, 0) if q_col is not None else 0
+        if not q_count:
+            continue  # a constant the query column lacks overlaps nothing
+        after = candidate.relations[relation].columns[attribute].constants.get(
+            key, 0
+        )
+        shared = overlaps[relation]
+        q_shared, c_shared = shared[attribute]
+        if injective:
+            moved = min(q_count, after) - min(q_count, before)
+            q_shared += moved
+            c_shared += moved
+        else:
+            q_shared += q_count * ((after > 0) - (before > 0))
+            c_shared += after - before
+        shared[attribute] = (q_shared, c_shared)
+
+
 def _side_bound_general(
     probe: RelationSketch,
     other: RelationSketch,
     attributes: tuple[str, ...],
+    shared: dict[str, tuple[int, int]],
+    side: int,
     lam: float,
 ) -> float:
     """Upper bound on ``Σ_{t ∈ probe} score(M, t)`` with no injectivity.
 
     Any probe cell can pair with the best cell anywhere in the other
-    column: a constant scores 1 when the other column contains it at all,
-    λ when the other column has a null, 0 otherwise; a null scores 1
-    against another null, λ against a constant.
+    column: a constant scores 1 when the other column contains it at all
+    (``shared[attribute][side]`` counts those), λ when the other column
+    has a null, 0 otherwise; a null scores 1 against another null, λ
+    against a constant.
     """
     total = 0.0
     for attribute in attributes:
@@ -514,11 +624,7 @@ def _side_bound_general(
         other_col = _column(other, attribute)
         other_has_null = other_col.null_count > 0
         other_has_constant = bool(other_col.constants)
-        matched = sum(
-            count
-            for key, count in probe_col.constants.items()
-            if key in other_col.constants
-        )
+        matched = shared.get(attribute, _NO_OVERLAP)[side]
         total += matched
         total += (probe_col.constant_count - matched) * (
             lam if other_has_null else 0.0
@@ -535,24 +641,24 @@ def _side_bound_injective(
     probe: RelationSketch,
     other: RelationSketch,
     attributes: tuple[str, ...],
+    shared: dict[str, tuple[int, int]],
+    side: int,
     lam: float,
 ) -> float:
     """Upper bound on the probe-side sum under a fully injective match.
 
     1:1 tuple mappings mean at most ``min(count, count')`` disjoint pairs
-    can realize a 1-score on any given constant, at most
-    ``min(nulls, nulls')`` pairs a 1-score on null-null cells, and at most
-    ``min(|probe|, |other|)`` probe tuples have a non-empty image at all.
+    can realize a 1-score on any given constant (``shared`` sums those),
+    at most ``min(nulls, nulls')`` pairs a 1-score on null-null cells,
+    and at most ``min(|probe|, |other|)`` probe tuples have a non-empty
+    image at all.
     """
     per_tuple_cap = min(probe.tuple_count, other.tuple_count) * len(attributes)
     total = 0.0
     for attribute in attributes:
         probe_col = _column(probe, attribute)
         other_col = _column(other, attribute)
-        matched_constants = sum(
-            min(count, other_col.constants.get(key, 0))
-            for key, count in probe_col.constants.items()
-        )
+        matched_constants = shared.get(attribute, _NO_OVERLAP)[side]
         matched_nulls = min(probe_col.null_count, other_col.null_count)
         rest = probe_col.cell_count - matched_constants - matched_nulls
         total += matched_constants + matched_nulls + rest * lam
@@ -563,6 +669,7 @@ def similarity_upper_bound(
     query: InstanceSketch,
     candidate: InstanceSketch,
     options: MatchOptions,
+    overlaps: Overlaps | None = None,
 ) -> float:
     """Admissible upper bound on ``signature_compare`` / exact similarity.
 
@@ -571,6 +678,12 @@ def similarity_upper_bound(
     (union of attributes per relation), exactly the shape full comparison
     pads to.  Returns 0.0 for incomparable sketches (different relation
     names), mirroring the skip in search and dedup.
+
+    ``overlaps`` is :func:`column_overlaps` of the two sketches under
+    ``options``, the one part of the bound that walks every constant
+    key.  Left out, it is computed here; a caller that maintains it
+    (the delta engine) passes it in and pays ``O(columns)``.  Either way
+    the arithmetic is the same, so the two agree bit for bit.
 
     The bound dominates the true score for *any* instance match honoring
     ``options``; pruning with it therefore never drops a true top-k hit or
@@ -591,11 +704,8 @@ def similarity_upper_bound(
     """
     if not comparable(query, candidate):
         return 0.0
-    side = (
-        _side_bound_injective
-        if options.fully_injective
-        else _side_bound_general
-    )
+    injective = options.fully_injective
+    side = _side_bound_injective if injective else _side_bound_general
     numerator = 0.0
     denominator = 0
     for name in sorted(query.relations):
@@ -608,8 +718,13 @@ def similarity_upper_bound(
         denominator += (q_rel.tuple_count + c_rel.tuple_count) * len(attributes)
         if q_rel.tuple_count == 0 or c_rel.tuple_count == 0:
             continue  # no pairs possible in this relation
-        numerator += side(q_rel, c_rel, attributes, options.lam)
-        numerator += side(c_rel, q_rel, attributes, options.lam)
+        shared = (
+            _relation_overlaps(q_rel, c_rel, injective)
+            if overlaps is None
+            else overlaps[name]
+        )
+        numerator += side(q_rel, c_rel, attributes, shared, 0, options.lam)
+        numerator += side(c_rel, q_rel, attributes, shared, 1, options.lam)
     if denominator == 0:
         return 1.0  # two empty instances are vacuously isomorphic
     return min(1.0, numerator / denominator)
@@ -678,8 +793,10 @@ __all__ = [
     "InstanceSketch",
     "RelationSketch",
     "SketchScan",
+    "column_overlaps",
     "comparable",
     "estimated_jaccard",
+    "patch_column_overlaps",
     "similarity_upper_bound",
     "sketch_from_dict",
     "sketch_to_dict",

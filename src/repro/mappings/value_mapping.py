@@ -142,6 +142,16 @@ class ValueMapping:
 
     def copy(self) -> "ValueMapping":
         """Return an independent copy."""
-        clone = ValueMapping()
-        clone._assignments = dict(self._assignments)
+        return ValueMapping.copy_of(self._assignments)
+
+    @classmethod
+    def copy_of(cls, assignments: Mapping[LabeledNull, Value]) -> "ValueMapping":
+        """A mapping over a copy of ``assignments``, taken unchecked.
+
+        For callers that maintain a null-keyed dict themselves (the delta
+        engine retargets one per class); the constructor's per-null
+        checks would cost a pass in Python on every copy.
+        """
+        clone = cls()
+        clone._assignments = dict(assignments)
         return clone

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import pickle
+import random
+
 import pytest
 
-from repro.core.errors import DeltaError
+from repro.core.errors import DeltaError, InstanceError
 from repro.core.instance import Instance
-from repro.core.schema import Schema
+from repro.core.schema import RelationSchema, Schema
+from repro.core.tuples import Tuple
 from repro.core.values import LabeledNull
 from repro.delta.batch import (
     OP_DELETE,
@@ -17,7 +21,7 @@ from repro.delta.batch import (
     batch_from_wal_record,
 )
 
-from .conftest import rand_batch, rand_instance
+from .conftest import TWO_REL_SCHEMA, VALUE_POOLS, rand_batch, rand_instance
 
 
 def rows_of(instance):
@@ -30,6 +34,15 @@ def rows_of(instance):
 
 def make(rows, attrs=("A",), relation="R", prefix="t"):
     return Instance.from_rows(relation, attrs, rows, id_prefix=prefix)
+
+
+def two_relations():
+    """``R(A)`` holding ``r1`` and ``S(B)`` holding ``s1``."""
+    schema = Schema((RelationSchema("R", ("A",)), RelationSchema("S", ("B",))))
+    instance = Instance(schema)
+    instance.add_row("R", "r1", ("x",))
+    instance.add_row("S", "s1", ("y",))
+    return instance
 
 
 class TestTupleOp:
@@ -84,6 +97,20 @@ class TestApply:
         with pytest.raises(DeltaError, match="insert of existing tuple"):
             batch.apply(old)
 
+    def test_insert_of_id_held_by_another_relation_rejected(self):
+        batch = DeltaBatch([TupleOp(OP_INSERT, "S", "r1", values=("z",))])
+        with pytest.raises(DeltaError, match="'r1'"):
+            batch.apply(two_relations())
+
+    def test_insert_may_reuse_id_deleted_from_another_relation(self):
+        batch = DeltaBatch([
+            TupleOp(OP_INSERT, "S", "r1", values=("z",)),
+            TupleOp(OP_DELETE, "R", "r1", old_values=("x",)),
+        ])
+        new = batch.apply(two_relations())
+        assert rows_of(new) == {"R": {}, "S": {"s1": ("y",), "r1": ("z",)}}
+        assert list(new.tuple_ids()) == ["s1", "r1"]
+
     def test_stale_old_values_rejected(self):
         old = make([("x",)])
         batch = DeltaBatch(
@@ -105,6 +132,144 @@ class TestApply:
         batch = DeltaBatch([TupleOp(OP_INSERT, "Q", "q1", values=("y",))])
         with pytest.raises(DeltaError, match="unknown relation"):
             batch.apply(old)
+
+
+def rebuilt(batch: DeltaBatch, instance: Instance) -> Instance:
+    """The reference ``apply``: re-add every survivor through ``Instance.add``.
+
+    Survivors go relation by relation in instance order, updates in
+    place, then inserts in op order; an insert whose id another relation
+    still holds raises :class:`DeltaError`.
+    """
+    by_key = {(op.relation, op.tuple_id): op for op in batch}
+    for op in batch:
+        if op.relation not in instance.schema:
+            raise DeltaError(f"unknown relation {op.relation!r}")
+    result = Instance(instance.schema, name=instance.name)
+    seen = set()
+    for relation in instance.relations():
+        name = relation.schema.name
+        for t in relation:
+            op = by_key.get((name, t.tuple_id))
+            if op is None:
+                result.add(t)
+                continue
+            seen.add((name, t.tuple_id))
+            if op.kind == OP_INSERT or op.old_values != t.values:
+                raise DeltaError(f"bad {op.kind} of {t.tuple_id!r}")
+            if op.kind == OP_UPDATE:
+                result.add(Tuple(t.tuple_id, relation.schema, op.values))
+    for op in batch:
+        if (op.relation, op.tuple_id) in seen:
+            continue
+        if op.kind != OP_INSERT:
+            raise DeltaError(f"{op.kind} of unknown tuple {op.tuple_id!r}")
+        t = Tuple(op.tuple_id, instance.schema.relation(op.relation), op.values)
+        try:
+            result.add(t)
+        except InstanceError as error:
+            raise DeltaError(str(error)) from error
+    return result
+
+
+def raised(fn, *args):
+    """The type of the exception ``fn(*args)`` raises, or ``None``."""
+    try:
+        fn(*args)
+    except Exception as error:  # noqa: BLE001 - the type is the result
+        return type(error)
+    return None
+
+
+def with_reused_ids(rng, batch, freed):
+    """``batch`` plus inserts that reuse ids freed by deletes.
+
+    Ids deleted in this batch or an earlier one move to the other
+    relation, which only a copy that rebuilds the id index in
+    relation-then-insert order gets right.
+    """
+    ops = list(batch)
+    keys = {(op.relation, op.tuple_id) for op in ops}
+    candidates = freed + [op.tuple_id for op in ops if op.kind == OP_DELETE]
+    for tuple_id in rng.sample(candidates, min(2, len(candidates))):
+        relation = rng.choice(["R", "S"])
+        if (relation, tuple_id) in keys or tuple_id in (
+            op.tuple_id for op in ops if op.kind == OP_INSERT
+        ):
+            continue
+        keys.add((relation, tuple_id))
+        arity = len(TWO_REL_SCHEMA.relation(relation).attributes)
+        ops.insert(rng.randrange(len(ops) + 1), TupleOp(
+            OP_INSERT, relation, tuple_id,
+            values=tuple(rng.choice(VALUE_POOLS[relation])
+                         for _ in range(arity)),
+        ))
+    return DeltaBatch(ops)
+
+
+def faulty(rng, batch, instance, fault):
+    """``batch`` with one op that breaks a precondition added at random."""
+    ops = list(batch)
+    touched = {op.tuple_id for op in ops}
+    untouched = [t for t in instance.tuples() if t.tuple_id not in touched]
+    t = rng.choice(untouched)
+    name = t.relation.name
+    other = "S" if name == "R" else "R"
+    arity = len(t.values)
+    bad = {
+        "stale": TupleOp(OP_UPDATE, name, t.tuple_id, values=t.values,
+                         old_values=("stale",) * arity),
+        "unknown-tuple": TupleOp(OP_DELETE, name, "nope",
+                                 old_values=t.values),
+        "unknown-relation": TupleOp(OP_INSERT, "Q", "q1", values=("v",)),
+        "insert-existing": TupleOp(OP_INSERT, name, t.tuple_id,
+                                   values=t.values),
+        "insert-other-relation": TupleOp(
+            OP_INSERT, other, t.tuple_id,
+            values=("v",) * len(TWO_REL_SCHEMA.relation(other).attributes),
+        ),
+        "update-arity": TupleOp(OP_UPDATE, name, t.tuple_id,
+                                values=("v",) * (arity + 1),
+                                old_values=t.values),
+        "insert-arity": TupleOp(OP_INSERT, name, "fresh",
+                                values=("v",) * (arity + 1)),
+    }[fault]
+    ops.insert(rng.randrange(len(ops) + 1), bad)
+    return DeltaBatch(ops)
+
+
+FAULTS = ["stale", "unknown-tuple", "unknown-relation", "insert-existing",
+          "insert-other-relation", "update-arity", "insert-arity"]
+
+
+class TestApplyMatchesRebuild:
+    """``apply`` copies and edits; the per-tuple rebuild is its oracle."""
+
+    @pytest.mark.parametrize("trial", range(12))
+    def test_chained_batches(self, trial):
+        rng = random.Random(7100 + trial)
+        current = rand_instance(rng, "r", "NR", rng.randint(3, 14))
+        counter, freed = [0], []
+        for _ in range(6):
+            batch = with_reused_ids(
+                rng, rand_batch(rng, current, counter), freed
+            )
+            got, want = batch.apply(current), rebuilt(batch, current)
+            assert list(got.tuples()) == list(want.tuples())
+            assert list(got.tuple_ids()) == list(want.tuple_ids())
+            assert pickle.dumps(got) == pickle.dumps(want)
+            freed = sorted(current.ids() - got.ids())
+            current = got
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("trial", range(3))
+    def test_errors_match(self, fault, trial):
+        rng = random.Random(7300 + trial)
+        current = rand_instance(rng, "r", "NR", rng.randint(3, 10))
+        batch = faulty(rng, rand_batch(rng, current, [0]), current, fault)
+        expected = raised(rebuilt, batch, current)
+        assert expected is not None
+        assert raised(batch.apply, current) is expected
 
 
 class TestAlgebra:
