@@ -2,12 +2,13 @@
 
 The retrieval layer over the paper's similarity measure: per-instance
 sketches with an admissible upper bound on the similarity score
-(:mod:`~repro.index.sketch`), banded LSH candidate generation
-(:mod:`~repro.index.lsh`), versioned on-disk persistence with incremental
-maintenance (:mod:`~repro.index.store`), and bound-ordered exact
-refinement through the parallel engine (:mod:`~repro.index.refine`) —
-assembled by :class:`~repro.index.core.SimilarityIndex`, the discovery
-API for the paper's Sec. 1 dataset-search and deduplication applications.
+(:mod:`~repro.index.sketch`), banded LSH candidate generation for the
+inexact modes (:mod:`~repro.index.lsh`), versioned on-disk persistence
+with incremental maintenance (:mod:`~repro.index.store`), and
+bound-ordered exact refinement through the parallel engine
+(:mod:`~repro.index.refine`) — assembled by
+:class:`~repro.index.core.SimilarityIndex`, the discovery API for the
+paper's Sec. 1 dataset-search and deduplication applications.
 :func:`~repro.index.brute_force_search` and
 :func:`~repro.index.brute_force_dedup` are the brute-force oracle that
 search and dedup must equal.

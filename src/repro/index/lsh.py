@@ -11,16 +11,18 @@ The LSH tables are an in-memory acceleration structure, deliberately *not*
 persisted: they rebuild deterministically from the stored sketches on
 :func:`repro.index.store.load_index`, keeping the on-disk format minimal.
 
-Role in the exact pipeline: candidate generation orders and shortlists;
-the **admissible sketch bound** (:func:`~repro.index.sketch.similarity_upper_bound`)
-is what certifies pruning.  ``exact=False`` search/dedup modes trust the
-LSH shortlist alone (sub-linear, recall < 1 possible); the default exact
-modes use LSH candidates first but verify every remaining table by bound.
+Role in discovery: LSH selects candidates only where recall may fall
+below 1.  ``exact=False`` search/dedup and serve's degraded levels trust
+the LSH shortlist alone (sub-linear, recall < 1 possible).  The default
+exact modes read no bucket: they bound every comparable table (or pair)
+with the **admissible sketch bound**
+(:func:`~repro.index.sketch.similarity_upper_bound`), which is what
+certifies pruning.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .sketch import IndexParams
 
@@ -127,23 +129,17 @@ class LSHIndex:
                 found.update(bucket)
         return found
 
-    def candidate_pairs(
-        self, names: Iterable[str] | None = None
-    ) -> list[tuple[str, str]]:
+    def candidate_pairs(self) -> list[tuple[str, str]]:
         """All intra-bucket member pairs, deduplicated and sorted.
 
-        ``names`` optionally restricts the pairs to a subset of members.
-        This is the dedup front door: only pairs landing in a shared
-        bucket are *likely* near-duplicates; the exact dedup path still
-        bound-checks the remaining pairs.
+        Only pairs landing in a shared bucket are *likely*
+        near-duplicates; inexact dedup bounds and refines just these
+        (exact dedup reads no bucket).
         """
-        allowed = None if names is None else set(names)
         pairs: set[tuple[str, str]] = set()
         for band_buckets in self._buckets:
             for bucket in band_buckets.values():
-                members = sorted(
-                    bucket if allowed is None else bucket & allowed
-                )
+                members = sorted(bucket)
                 for i, first in enumerate(members):
                     for second in members[i + 1 :]:
                         pairs.add((first, second))

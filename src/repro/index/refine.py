@@ -1,17 +1,17 @@
 """Candidate refinement: from admissible bounds to exact ranked hits.
 
-The index answers a query in two phases.  **Candidate generation**
-(:mod:`~repro.index.sketch` bounds + :mod:`~repro.index.lsh`) is cheap and
-approximate-from-above; **refinement** (this module) runs the real
-:func:`~repro.algorithms.signature.signature_compare` on as few candidates
-as the bounds allow, through the PR-3 batch machinery:
+The index answers a query in two phases.  **Bounding**
+(:func:`bound_tables`, :func:`bound_pairs`) is cheap and
+approximate-from-above; exact modes read no LSH bucket.  **Refinement**
+runs the real :func:`~repro.algorithms.signature.signature_compare` on as
+few candidates as the bounds allow:
 
 * every full comparison goes through the shared
   :class:`~repro.parallel.SignatureCache`, so an instance is prepared and
   signature-indexed once no matter how many queries touch it;
 * with ``RefinePolicy(jobs > 1)`` refinement chunks fan over the
-  :class:`~repro.parallel.pool.WorkerPool` (with the PR-2 retry/limit/fault
-  policies) via :func:`repro.parallel.compare_many`;
+  :class:`~repro.parallel.pool.WorkerPool` via
+  :func:`repro.parallel.compare_many`;
 * **upper-bound-ordered early termination**: candidates are refined in
   descending bound order, and refinement stops as soon as the best
   unrefined bound drops *strictly below* the current k-th best true
@@ -34,7 +34,8 @@ costs less than the solve; it prunes the exponential exact search instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from itertools import combinations
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from ..algorithms.dispatch import run_algorithm
 from ..algorithms.options import (
@@ -51,12 +52,14 @@ from ..obs.metrics import active_metrics
 from ..obs.trace import span
 from ..parallel.cache import PreparedSide, SignatureCache
 from ..parallel.engine import compare_many
-from ..runtime.faults import FaultPlan
-from ..runtime.isolation import WorkerLimits
-from ..runtime.retry import RetryPolicy
 from ..utils.unionfind import UnionFind
 from ..versioning.operations import align_schemas
-from .sketch import InstanceSketch, comparable, similarity_upper_bound
+from .sketch import (
+    InstanceSketch,
+    SketchScan,
+    comparable,
+    similarity_upper_bound,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .core import SimilarityIndex
@@ -90,12 +93,12 @@ class DuplicatePair:
 class RefinePolicy:
     """Execution policy for the refinement phase.
 
-    ``jobs > 1`` fans refinement chunks over fork workers;
-    ``deadline``/``limits``/``retry``/``fault_plan`` are the PR-2/PR-3
-    worker policies, applied per comparison.  Note that a deadline that
-    actually trips makes the affected scores lower bounds, which weakens
-    the exactness guarantee — keep policies off when bit-exact parity with
-    the brute-force oracle is required.
+    ``jobs > 1`` fans refinement chunks over fork workers through
+    :func:`~repro.parallel.compare_many`, which applies ``deadline`` to
+    each comparison; a deadline that trips makes the affected scores lower
+    bounds, which weakens the exactness guarantee.  With ``jobs == 1``
+    refinement runs in-process and ``deadline`` is not applied.  ``out``
+    receives the worker pool's progress lines.
 
     ``algorithm`` accepts the same vocabulary as :func:`repro.compare`
     (an :class:`~repro.Algorithm` member or a typed options instance).
@@ -107,9 +110,6 @@ class RefinePolicy:
 
     jobs: int = 1
     deadline: float | None = None
-    limits: WorkerLimits | None = None
-    retry: RetryPolicy | None = None
-    fault_plan: FaultPlan | None = None
     out: Callable[[str], None] | None = None
     algorithm: "Algorithm | AlgorithmOptions | None" = None
 
@@ -125,11 +125,7 @@ class RefinePolicy:
 
     @property
     def needs_workers(self) -> bool:
-        return (
-            self.jobs > 1
-            or self.limits is not None
-            or self.fault_plan is not None
-        )
+        return self.jobs > 1
 
 
 @dataclass
@@ -140,7 +136,9 @@ class RefineReport:
     to minimize; the brute-force oracle spends one per comparable table
     (or pair).  ``pruned`` candidates were eliminated by the admissible
     bound alone; ``incomparable`` were skipped for different relation
-    names, exactly as the oracle skips them.
+    names, exactly as the oracle skips them.  ``lsh_candidates`` is the
+    size of the LSH shortlist (tables or pairs) an ``exact=False`` run
+    drew; exact runs read no LSH bucket, so it stays 0.
     """
 
     candidates: int = 0
@@ -287,7 +285,7 @@ def brute_force_dedup(
         for name in index.names()
     }
     pairs = []
-    for first, second in _comparable_pairs(index):
+    for first, second in combinations(index.names(), 2):
         result = comparers[first].compare(index.get(second))
         if result is not None and result.similarity >= threshold:
             pairs.append(DuplicatePair(first, second, result.similarity))
@@ -350,11 +348,42 @@ def _refine_batch(
         jobs=policy.jobs,
         cache=index.cache,
         deadline=policy.deadline,
-        limits=policy.limits,
-        retry=policy.retry,
-        fault_plan=policy.fault_plan,
         out=policy.out,
     )
+
+
+def bound_tables(
+    index: "SimilarityIndex",
+    query: Instance,
+    report: RefineReport,
+    exact: bool,
+) -> dict[str, float]:
+    """Admissible bounds of the comparable tables a search ranks, by name.
+
+    ``exact`` bounds every table from the query's column statistics (a
+    :class:`~repro.index.sketch.SketchScan` without tokens: no min-hash,
+    no LSH lookup); otherwise only the LSH shortlist of the query's
+    min-hash.  ``report`` counts what was read and bounded.
+    """
+    if exact:
+        query_sketch = SketchScan(query, tokens=False).freeze((), "")
+        names = index.names()
+    else:
+        query_sketch = InstanceSketch.build(query, index.params)
+        shortlist = index.lsh.candidates(query_sketch.minhash)
+        report.lsh_candidates = len(shortlist)
+        names = sorted(shortlist)
+    bounds: dict[str, float] = {}
+    for name in names:
+        candidate_sketch = index.sketch(name)
+        if not comparable(query_sketch, candidate_sketch):
+            report.incomparable += 1
+            continue
+        report.bound_evaluations += 1
+        bounds[name] = similarity_upper_bound(
+            query_sketch, candidate_sketch, index.options
+        )
+    return bounds
 
 
 def refine_search(
@@ -367,11 +396,11 @@ def refine_search(
     """Rank index tables against ``query``; exact top-k with pruning.
 
     With ``exact=True`` (default) the result is identical to brute force:
-    every comparable table gets a bound, refinement proceeds in descending
-    bound order, and stops only when no unrefined table can reach the
-    top-k.  ``exact=False`` restricts the candidate set to the LSH
-    shortlist — sub-linear, but a sufficiently similar table outside every
-    shared bucket can be missed.
+    every comparable table gets a bound (no LSH lookup), refinement
+    proceeds in descending bound order, and stops only when no unrefined
+    table can reach the top-k.  ``exact=False`` restricts the candidate
+    set to the LSH shortlist — sub-linear, but a sufficiently similar
+    table outside every shared bucket can be missed.
     """
     with span("index.search", top_k=top_k, exact=exact) as search_span:
         hits, report = _refine_search_impl(index, query, top_k, policy, exact)
@@ -392,21 +421,7 @@ def _refine_search_impl(
     if top_k <= 0 or len(index) == 0:
         return [], report
 
-    query_sketch = InstanceSketch.build(query, index.params)
-    shortlist = index.lsh.candidates(query_sketch.minhash)
-    report.lsh_candidates = len(shortlist)
-
-    names = sorted(shortlist & set(index.names())) if not exact else index.names()
-    bounds: dict[str, float] = {}
-    for name in names:
-        candidate_sketch = index.sketch(name)
-        if not comparable(query_sketch, candidate_sketch):
-            report.incomparable += 1
-            continue
-        report.bound_evaluations += 1
-        bounds[name] = similarity_upper_bound(
-            query_sketch, candidate_sketch, index.options
-        )
+    bounds = bound_tables(index, query, report, exact)
     report.candidates = len(bounds)
     report.bounds = dict(bounds)
 
@@ -436,11 +451,38 @@ def _refine_search_impl(
     return hits[:top_k], report
 
 
-def _comparable_pairs(index: "SimilarityIndex") -> Iterator[tuple[str, str]]:
-    names = index.names()
-    for i, first in enumerate(names):
-        for second in names[i + 1 :]:
-            yield first, second
+def bound_pairs(
+    index: "SimilarityIndex",
+    threshold: float,
+    report: RefineReport,
+    exact: bool,
+) -> list[tuple[str, str, float]]:
+    """Table pairs whose admissible bound reaches ``threshold``.
+
+    ``exact`` bounds every table pair, otherwise only the LSH candidate
+    pairs; both are scanned in sorted name order and kept as ``(first,
+    second, bound)``.  ``report`` counts what was read, bounded and pruned.
+    """
+    if exact:
+        pairs: Iterable[tuple[str, str]] = combinations(index.names(), 2)
+    else:
+        pairs = index.lsh.candidate_pairs()
+        report.lsh_candidates = len(pairs)
+    survivors: list[tuple[str, str, float]] = []
+    for first, second in pairs:
+        first_sketch, second_sketch = index.sketch(first), index.sketch(second)
+        if not comparable(first_sketch, second_sketch):
+            report.incomparable += 1
+            continue
+        report.bound_evaluations += 1
+        bound = similarity_upper_bound(
+            first_sketch, second_sketch, index.options
+        )
+        if bound < threshold:
+            report.pruned += 1
+            continue
+        survivors.append((first, second, bound))
+    return survivors
 
 
 def refine_dedup(
@@ -451,11 +493,11 @@ def refine_dedup(
 ) -> tuple[list[DuplicatePair], RefineReport]:
     """All table pairs with true similarity ≥ ``threshold``.
 
-    Exact mode bound-checks every pair (cheap) and refines only pairs whose
-    admissible bound reaches the threshold — a pair below it provably
-    cannot be a duplicate.  ``exact=False`` refines only LSH candidate
-    pairs (sub-quadratic; may miss duplicates whose signatures never share
-    a band).
+    Exact mode bound-checks every pair (cheap, no LSH lookup) and refines
+    only pairs whose admissible bound reaches the threshold — a pair below
+    it provably cannot be a duplicate.  ``exact=False`` refines only LSH
+    candidate pairs (sub-quadratic; may miss duplicates whose signatures
+    never share a band).
     """
     with span("index.dedup", threshold=threshold, exact=exact) as dedup_span:
         pairs, report = _refine_dedup_impl(index, threshold, policy, exact)
@@ -472,38 +514,12 @@ def _refine_dedup_impl(
 ) -> tuple[list[DuplicatePair], RefineReport]:
     policy = policy if policy is not None else RefinePolicy()
     report = RefineReport()
-    lsh_pairs = set(index.lsh.candidate_pairs())
-    report.lsh_candidates = len(lsh_pairs)
-
-    pair_source = (
-        sorted(lsh_pairs) if not exact else list(_comparable_pairs(index))
-    )
-    survivors: list[tuple[str, str, float]] = []
-    for first, second in pair_source:
-        first_sketch, second_sketch = index.sketch(first), index.sketch(second)
-        if not comparable(first_sketch, second_sketch):
-            report.incomparable += 1
-            continue
-        report.bound_evaluations += 1
-        bound = similarity_upper_bound(
-            first_sketch, second_sketch, index.options
-        )
-        if bound < threshold:
-            report.pruned += 1
-            continue
-        survivors.append((first, second, bound))
+    survivors = bound_pairs(index, threshold, report, exact)
     report.candidates = len(survivors)
 
-    # LSH-confirmed pairs first within equal bounds: the likeliest
-    # duplicates refine early (pure ordering; the result set is unaffected).
-    survivors.sort(
-        key=lambda item: (
-            -item[2],
-            (item[0], item[1]) not in lsh_pairs,
-            item[0],
-            item[1],
-        )
-    )
+    # Highest bounds refine first; every survivor refines, so the order
+    # changes no output.
+    survivors.sort(key=lambda item: (-item[2], item[0], item[1]))
     # One comparer per first table, so each is looked up in the cache once.
     spec = policy.resolved_algorithm()
     comparers = {
@@ -537,6 +553,8 @@ __all__ = [
     "RefinePolicy",
     "RefineReport",
     "SearchHit",
+    "bound_pairs",
+    "bound_tables",
     "brute_force_dedup",
     "brute_force_search",
     "cluster_duplicates",

@@ -25,8 +25,14 @@ import time
 from typing import TYPE_CHECKING, Callable
 
 from ..core.instance import Instance, prepare_for_comparison
-from ..index.refine import RefinePolicy, refine_dedup, refine_search
-from ..index.sketch import InstanceSketch, comparable, similarity_upper_bound
+from ..index.refine import (
+    RefinePolicy,
+    RefineReport,
+    bound_pairs,
+    bound_tables,
+    refine_dedup,
+    refine_search,
+)
 from ..mappings.constraints import MatchOptions
 from ..obs.metrics import MetricsRegistry, set_metrics
 from ..runtime.anytime import DEFAULT_ANYTIME_NODE_BUDGET, compare_anytime
@@ -109,41 +115,6 @@ def compare_job(
     return _collected(run)
 
 
-def _bound_only_hits(
-    index: "SimilarityIndex", query: Instance, top_k: int
-) -> tuple[list[dict], dict]:
-    """Rank the LSH shortlist by the admissible bound — no refinement.
-
-    The floor of the search ladder: sketch build + bucket lookups + one
-    bound evaluation per candidate, never a full ``signature_compare``.
-    Scores are *upper bounds*, flagged as such in the payload.
-    """
-    query_sketch = InstanceSketch.build(query, index.params)
-    shortlist = sorted(index.lsh.candidates(query_sketch.minhash))
-    bounds: dict[str, float] = {}
-    incomparable = 0
-    for name in shortlist:
-        candidate = index.sketch(name)
-        if not comparable(query_sketch, candidate):
-            incomparable += 1
-            continue
-        bounds[name] = similarity_upper_bound(
-            query_sketch, candidate, index.options
-        )
-    order = sorted(bounds, key=lambda name: (-bounds[name], name))[:top_k]
-    hits = [
-        {"name": name, "similarity": bounds[name], "matched_tuples": None}
-        for name in order
-    ]
-    report = {
-        "lsh_candidates": len(shortlist),
-        "bound_evaluations": len(bounds),
-        "incomparable": incomparable,
-        "refined": 0,
-    }
-    return hits, report
-
-
 def search_job(
     index: "SimilarityIndex",
     query: Instance,
@@ -161,7 +132,21 @@ def search_job(
     def run() -> dict:
         started = time.perf_counter()
         if level is DegradationLevel.SIGNATURE_ONLY:
-            hits, report = _bound_only_hits(index, query, top_k)
+            # The LSH shortlist ranked by admissible bound, never refined:
+            # the scores are upper bounds.
+            bound_report = RefineReport()
+            bounds = bound_tables(index, query, bound_report, exact=False)
+            order = sorted(bounds, key=lambda name: (-bounds[name], name))
+            hits = [
+                dict(name=name, similarity=bounds[name], matched_tuples=None)
+                for name in order[:top_k]
+            ]
+            report = {
+                "lsh_candidates": bound_report.lsh_candidates,
+                "bound_evaluations": bound_report.bound_evaluations,
+                "incomparable": bound_report.incomparable,
+                "refined": 0,
+            }
         else:
             policy = RefinePolicy(deadline=deadline)
             ranked, refine_report = refine_search(
@@ -201,27 +186,20 @@ def dedup_job(
     def run() -> dict:
         started = time.perf_counter()
         if level is DegradationLevel.SIGNATURE_ONLY:
-            pairs = []
-            evaluations = 0
-            for first, second in index.lsh.candidate_pairs():
-                first_sketch, second_sketch = (
-                    index.sketch(first), index.sketch(second)
+            # The LSH pairs whose bound reaches the threshold, in
+            # candidate-pair order, never refined: the scores are upper
+            # bounds.
+            bound_report = RefineReport()
+            pairs = [
+                {"first": first, "second": second, "similarity": bound}
+                for first, second, bound in bound_pairs(
+                    index, threshold, bound_report, exact=False
                 )
-                if not comparable(first_sketch, second_sketch):
-                    continue
-                evaluations += 1
-                bound = similarity_upper_bound(
-                    first_sketch, second_sketch, index.options
-                )
-                if bound >= threshold:
-                    pairs.append(
-                        {
-                            "first": first,
-                            "second": second,
-                            "similarity": bound,
-                        }
-                    )
-            report = {"bound_evaluations": evaluations, "refined": 0}
+            ]
+            report = {
+                "bound_evaluations": bound_report.bound_evaluations,
+                "refined": 0,
+            }
         else:
             policy = RefinePolicy(deadline=deadline)
             found, refine_report = refine_dedup(

@@ -83,14 +83,6 @@ class TestCandidates:
         assert ("a", "b") in pairs
         assert pairs == sorted(set(pairs))
 
-    def test_candidate_pairs_respects_restriction(self, trio):
-        base, _, _ = trio
-        lsh = LSHIndex(PARAMS)
-        lsh.add("a", base.minhash)
-        lsh.add("b", base.minhash)
-        lsh.add("c", base.minhash)
-        assert lsh.candidate_pairs(names=["a", "b"]) == [("a", "b")]
-
     def test_stats(self, trio):
         base, _, _ = trio
         lsh = LSHIndex(PARAMS)

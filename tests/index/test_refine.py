@@ -14,7 +14,9 @@ from repro.index import (
     SimilarityIndex,
     brute_force_dedup,
     brute_force_search,
+    refine_dedup,
     refine_search,
+    similarity_upper_bound,
 )
 from repro.index import refine
 
@@ -183,6 +185,107 @@ class TestBruteForceOracle:
         assert brute_force_dedup(empty, 0.0) == []
         assert index.cache.stats()["misses"] == 0
         assert empty.cache.stats()["misses"] == 0
+
+
+def _lsh_read(*args, **kwargs):
+    raise AssertionError("exact discovery read the LSH index")
+
+
+def iris_lake():
+    """Versions of one iris table plus unrelated iris tables."""
+    base = generate_dataset("iris", rows=20, seed=0)
+    index = SimilarityIndex(params=PARAMS)
+    index.add("base", base)
+    current = base
+    for step in range(1, 4):
+        current = perturb(
+            current, PerturbationConfig.mod_cell(5.0, seed=step)
+        ).target
+        index.add(f"v{step}", current)
+    for seed in (50, 60):
+        index.add(f"unrelated-{seed}", generate_dataset(
+            "iris", rows=20, seed=seed
+        ))
+    return index
+
+
+class TestExactModesReadNoLSH:
+    """Exact search and dedup take no min-hash and read no LSH bucket.
+
+    They bound every comparable table from the query's column
+    statistics, so with the min-hash sketch and both LSH lookups patched
+    to raise they still return the oracle's answer.
+    """
+
+    @staticmethod
+    def forbid_lsh(monkeypatch):
+        monkeypatch.setattr(InstanceSketch, "build", _lsh_read)
+        monkeypatch.setattr(LSHIndex, "candidates", _lsh_read)
+        monkeypatch.setattr(LSHIndex, "candidate_pairs", _lsh_read)
+
+    @pytest.mark.parametrize("make_index", [corpus_index, iris_lake])
+    def test_search_equals_oracle(self, monkeypatch, make_index):
+        index = make_index()
+        queries = [index.get(name) for name in index.names()[:3]]
+        queries.append(simple([("x", 1), ("y", 2), ("z", 3)]))
+        full_bounds = [
+            {
+                name: similarity_upper_bound(
+                    InstanceSketch.build(query, index.params),
+                    index.sketch(name),
+                    index.options,
+                )
+                for name in index.names()
+                if set(index.get(name).schema.relation_names())
+                == set(query.schema.relation_names())
+            }
+            for query in queries
+        ]
+        self.forbid_lsh(monkeypatch)
+        for query, bounds in zip(queries, full_bounds):
+            for top_k in (1, 2, 10):
+                hits, report = refine_search(index, query, top_k)
+                assert hits == brute_force_search(index, query, top_k)
+                assert report.lsh_candidates == 0
+                assert report.bounds == bounds
+                assert report.candidates == report.bound_evaluations
+                assert report.refined + report.pruned == report.candidates
+
+    @pytest.mark.parametrize("make_index", [corpus_index, iris_lake])
+    def test_dedup_equals_oracle(self, monkeypatch, make_index):
+        index = make_index()
+        self.forbid_lsh(monkeypatch)
+        for threshold in (0.3, 0.5, 0.8, 0.99):
+            pairs, report = refine_dedup(index, threshold)
+            assert pairs == brute_force_dedup(index, threshold)
+            assert report.lsh_candidates == 0
+            assert report.refined == report.candidates
+
+    def test_inexact_modes_still_read_lsh(self, monkeypatch):
+        index = corpus_index()
+        query = simple([("x", 1), ("y", 2), ("z", 3)])
+        calls = []
+
+        def spy(name):
+            original = getattr(LSHIndex, name)
+
+            def recorded(self, *args):
+                calls.append(name)
+                return original(self, *args)
+
+            monkeypatch.setattr(LSHIndex, name, recorded)
+
+        spy("candidates")
+        spy("candidate_pairs")
+        index.search(query, top_k=2)
+        index.near_duplicates(threshold=0.5)
+        assert calls == []
+        index.search(query, top_k=2, exact=False)
+        assert calls == ["candidates"]
+        assert index.last_report.lsh_candidates == 3
+        index.near_duplicates(threshold=0.5, exact=False)
+        assert calls == ["candidates", "candidate_pairs"]
+        assert index.last_report.lsh_candidates == 3
 
 
 class TestApproximateMode:

@@ -14,10 +14,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.algorithms.signature import signature_compare
+from repro.cli import PRESETS
 from repro.core.instance import Instance, prepare_for_comparison
 from repro.core.values import LabeledNull
 from repro.datagen.perturb import PerturbationConfig, perturb
 from repro.datagen.synthetic import generate_dataset
+from repro.index import RefineReport, SimilarityIndex
+from repro.index.refine import bound_tables
 from repro.index.sketch import (
     IndexParams,
     InstanceSketch,
@@ -110,3 +113,31 @@ class TestBoundDominatesPerturbedInstances:
         assert bound(base, projected, options) >= true_similarity(
             aligned[0], aligned[1], options
         ) - 1e-12
+
+
+class TestColumnStatisticsBound:
+    """Exact search bounds the query from its column statistics alone.
+
+    Its query sketch takes no min-hash, so the bound it reads must equal,
+    bit for bit, the bound over the full :meth:`InstanceSketch.build`.
+    A dropped candidate column exercises the padded-column path.
+    """
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    @given(pair=instance_pair(), drop_column=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_light_query_bound_equals_full(self, pair, drop_column, preset):
+        options = PRESETS[preset]()
+        query, candidate = pair
+        if drop_column:
+            candidate = Instance.from_rows(
+                "R", ("A0",), [t.values[:1] for t in candidate.tuples()]
+            )
+        index = SimilarityIndex(params=PARAMS, options=options)
+        index.add("c", candidate)
+        full = similarity_upper_bound(
+            InstanceSketch.build(query, PARAMS), index.sketch("c"), options
+        )
+        report = RefineReport()
+        assert bound_tables(index, query, report, exact=True) == {"c": full}
+        assert report.lsh_candidates == 0
